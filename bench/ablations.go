@@ -6,7 +6,6 @@ import (
 
 	"github.com/cds-suite/cds/cmap"
 	"github.com/cds-suite/cds/counter"
-	"github.com/cds-suite/cds/internal/xrand"
 	"github.com/cds-suite/cds/stack"
 )
 
@@ -15,137 +14,56 @@ import (
 // striped map need, how many shards a sharded counter. Each runs at full
 // GOMAXPROCS and sweeps the parameter on the X axis.
 func Ablations() []Experiment {
+	th := runtime.GOMAXPROCS(0)
+	// elimination drives one elimination stack on the 50/50 push-pop mix
+	// and reports its throughput and hit rate from the same run.
+	elimination := func(mk func(x int) *stack.Elimination[int]) []ScenarioAlgo {
+		return []ScenarioAlgo{{Label: "Elimination", Run: func(cfg Config, x int) Result {
+			s := mk(x)
+			s.EnableStats(true)
+			res := Run(th, cfg.ops(300000)/th+1, stackMixOp(s))
+			res.Metrics = []Metric{{Label: "Mops", Value: res.Throughput(), Unit: UnitMops}, hitRate(s)}
+			return res
+		}}}
+	}
 	return []Experiment{
-		{ID: "A1", Title: "Ablation: elimination array width (X = width)", Run: runA1},
-		{ID: "A2", Title: "Ablation: elimination spin budget (X = spins)", Run: runA2},
-		{ID: "A3", Title: "Ablation: striped map stripe count (X = stripes)", Run: runA3},
-		{ID: "A4", Title: "Ablation: sharded counter shard count (X = shards)", Run: runA4},
-		{ID: "A5", Title: "Ablation: LCRQ segment size vs MS/MPMC baselines (X = segment size)", Run: runA5},
+		{ID: "A1", Title: "Ablation: elimination array width (X = width)", XLabel: "width", Scenarios: []Scenario{{
+			Family: "stack", Name: fmt.Sprintf("A1: elimination width sweep at %d threads, 50/50 push-pop", th),
+			Xs: []int{1, 2, 4, 8, 16, 32},
+			Algos: elimination(func(width int) *stack.Elimination[int] {
+				s := stack.NewElimination[int](width, 128)
+				s.PinWidth(width) // sweep true fixed widths, not adaptive caps
+				return s
+			})}}},
+		{ID: "A2", Title: "Ablation: elimination spin budget (X = spins)", XLabel: "spins", Scenarios: []Scenario{{
+			Family: "stack", Name: fmt.Sprintf("A2: elimination spin sweep at %d threads, width 8", th),
+			Xs: []int{16, 64, 256, 1024, 4096},
+			Algos: elimination(func(spins int) *stack.Elimination[int] {
+				s := stack.NewElimination[int](8, spins)
+				s.PinWidth(8) // hold width fixed while the spin budget sweeps
+				return s
+			})}}},
+		// A3 runs a write-heavy uniform mix: stripe contention is what the
+		// parameter buys down.
+		{ID: "A3", Title: "Ablation: striped map stripe count (X = stripes)", XLabel: "stripes", Scenarios: []Scenario{{
+			Family: "cmap", Name: fmt.Sprintf("A3: striped map stripes sweep at %d threads, 50%% reads", th),
+			Xs: []int{1, 4, 16, 64, 256},
+			Algos: []ScenarioAlgo{{Label: "Striped", Run: func(cfg Config, stripes int) Result {
+				const keyRange = 1 << 16
+				m := cmap.NewStriped[int, int](stripes)
+				prefillMap(m, keyRange)
+				return Run(th, cfg.ops(200000)/th+1, mapMixOp(m, keyRange, 0, 50))
+			}}}}}},
+		{ID: "A4", Title: "Ablation: sharded counter shard count (X = shards)", XLabel: "shards", Scenarios: []Scenario{{
+			Family: "counter", Name: fmt.Sprintf("A4: sharded counter shards sweep at %d threads, inc-only", th),
+			Xs: []int{1, 2, 4, 8, 16, 32, 64, 128},
+			Algos: []ScenarioAlgo{{Label: "Sharded", Run: func(cfg Config, shards int) Result {
+				c := counter.NewSharded(shards)
+				return Run(th, cfg.ops(500000)/th+1, func(int) func(int) {
+					h := c.Handle()
+					return func(int) { h.Inc() }
+				})
+			}}}}}},
+		ablationA5(th),
 	}
-}
-
-// runA1 sweeps the elimination array width at fixed spins.
-func runA1(cfg Config) []Figure {
-	ops := cfg.ops(300000)
-	th := runtime.GOMAXPROCS(0)
-	fig := Figure{
-		ID:     "A1",
-		Family: "stack",
-		Title:  fmt.Sprintf("elimination width sweep at %d threads, 50/50 push-pop", th),
-		XLabel: "width",
-	}
-	var thr, hit Series
-	thr.Label = "Mops"
-	hit.Label = "hit-rate%"
-	hit.Unit = UnitPercent
-	for _, width := range []int{1, 2, 4, 8, 16, 32} {
-		s := stack.NewElimination[int](width, 128)
-		s.PinWidth(width) // sweep true fixed widths, not adaptive caps
-		s.EnableStats(true)
-		res := Run(th, ops/th+1, stackMixOp(s))
-		hits, misses := s.Stats()
-		rate := 0.0
-		if hits+misses > 0 {
-			rate = 100 * float64(hits) / float64(hits+misses)
-		}
-		thr.Points = append(thr.Points, Point{X: width, Mops: res.Throughput()})
-		hit.Points = append(hit.Points, Point{X: width, Mops: rate})
-	}
-	fig.Series = []Series{thr, hit}
-	return []Figure{fig}
-}
-
-// runA2 sweeps the per-visit spin budget at fixed width.
-func runA2(cfg Config) []Figure {
-	ops := cfg.ops(300000)
-	th := runtime.GOMAXPROCS(0)
-	fig := Figure{
-		ID:     "A2",
-		Family: "stack",
-		Title:  fmt.Sprintf("elimination spin sweep at %d threads, width 8", th),
-		XLabel: "spins",
-	}
-	var thr, hit Series
-	thr.Label = "Mops"
-	hit.Label = "hit-rate%"
-	hit.Unit = UnitPercent
-	for _, spins := range []int{16, 64, 256, 1024, 4096} {
-		s := stack.NewElimination[int](8, spins)
-		s.PinWidth(8) // hold width fixed while the spin budget sweeps
-		s.EnableStats(true)
-		res := Run(th, ops/th+1, stackMixOp(s))
-		hits, misses := s.Stats()
-		rate := 0.0
-		if hits+misses > 0 {
-			rate = 100 * float64(hits) / float64(hits+misses)
-		}
-		thr.Points = append(thr.Points, Point{X: spins, Mops: res.Throughput()})
-		hit.Points = append(hit.Points, Point{X: spins, Mops: rate})
-	}
-	fig.Series = []Series{thr, hit}
-	return []Figure{fig}
-}
-
-func stackMixOp(s *stack.Elimination[int]) func(w int) func(int) {
-	return func(w int) func(int) {
-		rng := xrand.New(uint64(w) + 1)
-		return func(int) {
-			if rng.Uint64()&1 == 0 {
-				s.Push(7)
-			} else {
-				s.TryPop()
-			}
-		}
-	}
-}
-
-// runA3 sweeps the stripe count of the striped map under a write-heavy
-// uniform mix (stripe contention is what the parameter buys down).
-func runA3(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	th := runtime.GOMAXPROCS(0)
-	const keyRange = 1 << 16
-	fig := Figure{
-		ID:     "A3",
-		Family: "cmap",
-		Title:  fmt.Sprintf("striped map stripes sweep at %d threads, 50%% reads", th),
-		XLabel: "stripes",
-	}
-	var s Series
-	s.Label = "Striped"
-	for _, stripes := range []int{1, 4, 16, 64, 256} {
-		m := cmap.NewStriped[int, int](stripes)
-		pre := xrand.New(7)
-		for i := 0; i < keyRange/2; i++ {
-			m.Store(pre.Intn(keyRange), i)
-		}
-		res := Run(th, ops/th+1, mapMixOp(m, keyRange, 0, 50))
-		s.Points = append(s.Points, Point{X: stripes, Mops: res.Throughput()})
-	}
-	fig.Series = []Series{s}
-	return []Figure{fig}
-}
-
-// runA4 sweeps the shard count of the sharded counter.
-func runA4(cfg Config) []Figure {
-	ops := cfg.ops(500000)
-	th := runtime.GOMAXPROCS(0)
-	fig := Figure{
-		ID:     "A4",
-		Family: "counter",
-		Title:  fmt.Sprintf("sharded counter shards sweep at %d threads, inc-only", th),
-		XLabel: "shards",
-	}
-	var s Series
-	s.Label = "Sharded"
-	for _, shards := range []int{1, 2, 4, 8, 16, 32, 64, 128} {
-		c := counter.NewSharded(shards)
-		res := Run(th, ops/th+1, func(w int) func(int) {
-			h := c.Handle()
-			return func(int) { h.Inc() }
-		})
-		s.Points = append(s.Points, Point{X: shards, Mops: res.Throughput()})
-	}
-	fig.Series = []Series{s}
-	return []Figure{fig}
 }

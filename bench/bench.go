@@ -6,7 +6,6 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
-	"sort"
 	"sync"
 	"time"
 
@@ -29,6 +28,17 @@ type Result struct {
 	// cells' pending_garbage and reclaimed counts); nil when the cell has
 	// none.
 	Gauges map[string]float64
+	// Metrics, when set, replace the throughput record: the run yields
+	// one record per metric, labelled by it. The elimination cells report
+	// their hit rate this way, and A1/A2 the throughput beside it.
+	Metrics []Metric
+}
+
+// Metric is a headline value a cell reports in place of its throughput.
+type Metric struct {
+	Label string
+	Value float64
+	Unit  string
 }
 
 // Throughput returns million operations per second.
@@ -254,128 +264,6 @@ func (s *KeyStream) Next() uint64 {
 		return s.zip.Next()
 	}
 	return s.uni.Uint64n(s.n)
-}
-
-// Point is one (threads, throughput) sample of a series.
-type Point struct {
-	// X is the sweep parameter (usually thread count).
-	X int
-	// Mops is throughput in million ops/sec.
-	Mops float64
-}
-
-// Series is one labelled curve of an experiment figure.
-type Series struct {
-	// Label names the algorithm/configuration.
-	Label string
-	// Unit names what the Mops column actually carries; empty means
-	// UnitMops. A few tables reuse the column for derived metrics (hit
-	// rates), and the unit keeps their Report records honest.
-	Unit string
-	// Family overrides the figure's family for this series' records.
-	// Cross-family tables (the T1 overview) use it so each row lands in
-	// its own structure family in a Report.
-	Family string
-	// Points are the samples in sweep order.
-	Points []Point
-}
-
-// Figure is a rendered experiment: several series over a shared sweep.
-type Figure struct {
-	// ID is the experiment identifier from DESIGN.md (e.g. "F1").
-	ID string
-	// Title describes the figure.
-	Title string
-	// Family is the structure family the figure measures ("queue",
-	// "locks", ...); it labels the records derived from the figure.
-	Family string
-	// XLabel names the sweep parameter.
-	XLabel string
-	// Series are the curves.
-	Series []Series
-}
-
-// Records flattens the figure into Report records: one per (series,
-// point), labelled with the figure's family and title. Figure records
-// carry no latency percentiles — only scenario cells, measured with
-// RunLatency, have them.
-func (f Figure) Records() []Record {
-	var recs []Record
-	for _, s := range f.Series {
-		unit := s.Unit
-		if unit == "" {
-			unit = UnitMops
-		}
-		family := s.Family
-		if family == "" {
-			family = f.Family
-		}
-		for _, p := range s.Points {
-			recs = append(recs, Record{
-				Family:   family,
-				Algo:     s.Label,
-				Scenario: f.ID + ": " + f.Title,
-				Threads:  p.X,
-				Value:    p.Mops,
-				Unit:     unit,
-			})
-		}
-	}
-	return recs
-}
-
-// Render writes the figure as an aligned text table: one row per X value,
-// one column per series — directly comparable with the survey's plots.
-func (f Figure) Render(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "== %s: %s ==\n", f.ID, f.Title); err != nil {
-		return err
-	}
-	// Collect the union of X values.
-	xs := map[int]bool{}
-	for _, s := range f.Series {
-		for _, p := range s.Points {
-			xs[p.X] = true
-		}
-	}
-	sorted := make([]int, 0, len(xs))
-	for x := range xs {
-		sorted = append(sorted, x)
-	}
-	sort.Ints(sorted)
-
-	if _, err := fmt.Fprintf(w, "%-10s", f.XLabel); err != nil {
-		return err
-	}
-	for _, s := range f.Series {
-		if _, err := fmt.Fprintf(w, " %14s", s.Label); err != nil {
-			return err
-		}
-	}
-	if _, err := fmt.Fprintln(w); err != nil {
-		return err
-	}
-	for _, x := range sorted {
-		if _, err := fmt.Fprintf(w, "%-10d", x); err != nil {
-			return err
-		}
-		for _, s := range f.Series {
-			val := "-"
-			for _, p := range s.Points {
-				if p.X == x {
-					val = fmt.Sprintf("%.3f", p.Mops)
-					break
-				}
-			}
-			if _, err := fmt.Fprintf(w, " %14s", val); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	_, err := fmt.Fprintln(w)
-	return err
 }
 
 // DefaultThreadSweep returns the standard 1..max thread ladder used by all

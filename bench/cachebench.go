@@ -333,69 +333,28 @@ func cacheEntryWeight(k uint64, _ uint64) int64 {
 // giants' contribution), so budget = 12 × capacity.
 const cacheWeightBudget = 12 * cacheCap
 
-// cacheAlgos is the S17 implementation sweep: the two scan-resistant
-// policies (sharded), the single-lock LRU, and the sync.Map baseline.
-func cacheAlgos(run func(mk func() cacheBackend, cfg Config, th int) Result) []ScenarioAlgo {
-	return []ScenarioAlgo{
-		{Label: "SIEVE", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.SIEVE, 0) }, cfg, th)
-		}},
-		{Label: "S3-FIFO", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.S3FIFO, 0) }, cfg, th)
-		}},
-		{Label: "LockedLRU", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.LRU, 1) }, cfg, th)
-		}},
-		{Label: "SyncMapTTL", Run: func(cfg Config, th int) Result {
-			return run(newSyncMapTTL, cfg, th)
-		}},
-	}
-}
-
-// cacheAdmissionAlgos is the loopy-trace sweep: each scan-resistant
-// policy with and without the TinyLFU admission filter, so the hit_rate
-// column isolates what admission buys on a loop-heavy trace.
-func cacheAdmissionAlgos(run func(mk func() cacheBackend, cfg Config, th int) Result) []ScenarioAlgo {
+// cacheImpls is the S17 implementation table: the two scan-resistant
+// policies (sharded), the single-lock LRU and the sync.Map baseline; each
+// scan-resistant policy with the TinyLFU admission filter; and the
+// bounded policies under a byte-like weight budget with heavy-tailed entry
+// weights (one giant can evict dozens of small victims).
+func cacheImpls() []impl[func() cacheBackend] {
 	tiny := cache.WithAdmission(cache.TinyLFU)
-	return []ScenarioAlgo{
-		{Label: "SIEVE", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.SIEVE, 0) }, cfg, th)
-		}},
-		{Label: "SIEVE+TinyLFU", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.SIEVE, 0, tiny) }, cfg, th)
-		}},
-		{Label: "S3-FIFO", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.S3FIFO, 0) }, cfg, th)
-		}},
-		{Label: "S3-FIFO+TinyLFU", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.S3FIFO, 0, tiny) }, cfg, th)
-		}},
-	}
-}
-
-// cacheWeightedAlgos is the weighted sweep: the bounded policies under a
-// byte-like weight budget with heavy-tailed entry weights (one giant can
-// evict dozens of small victims), plus the unbounded sync.Map baseline
-// for contrast.
-func cacheWeightedAlgos(run func(mk func() cacheBackend, cfg Config, th int) Result) []ScenarioAlgo {
 	weighted := []cache.Option{
 		cache.WithMaxWeight(cacheWeightBudget),
 		cache.WithWeigher(cacheEntryWeight),
 	}
-	return []ScenarioAlgo{
-		{Label: "SIEVE+weights", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.SIEVE, 0, weighted...) }, cfg, th)
-		}},
-		{Label: "S3-FIFO+weights", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend { return newCDSCache(cache.S3FIFO, 0, weighted...) }, cfg, th)
-		}},
-		{Label: "SIEVE+TinyLFU+weights", Run: func(cfg Config, th int) Result {
-			return run(func() cacheBackend {
-				return newCDSCache(cache.SIEVE, 0, append([]cache.Option{cache.WithAdmission(cache.TinyLFU)}, weighted...)...)
-			}, cfg, th)
-		}},
-		{Label: "SyncMapTTL", Run: func(cfg Config, th int) Result {
-			return run(newSyncMapTTL, cfg, th)
+	return []impl[func() cacheBackend]{
+		{"SIEVE", func() cacheBackend { return newCDSCache(cache.SIEVE, 0) }},
+		{"S3-FIFO", func() cacheBackend { return newCDSCache(cache.S3FIFO, 0) }},
+		{"LockedLRU", func() cacheBackend { return newCDSCache(cache.LRU, 1) }},
+		{"SyncMapTTL", newSyncMapTTL},
+		{"SIEVE+TinyLFU", func() cacheBackend { return newCDSCache(cache.SIEVE, 0, tiny) }},
+		{"S3-FIFO+TinyLFU", func() cacheBackend { return newCDSCache(cache.S3FIFO, 0, tiny) }},
+		{"SIEVE+weights", func() cacheBackend { return newCDSCache(cache.SIEVE, 0, weighted...) }},
+		{"S3-FIFO+weights", func() cacheBackend { return newCDSCache(cache.S3FIFO, 0, weighted...) }},
+		{"SIEVE+TinyLFU+weights", func() cacheBackend {
+			return newCDSCache(cache.SIEVE, 0, append([]cache.Option{tiny}, weighted...)...)
 		}},
 	}
 }
@@ -408,11 +367,16 @@ func cacheScenarios() []Scenario {
 			return runCacheMix(mk, cfg, th, getPct, setPct)
 		}
 	}
+	basic := pick(cacheImpls(), "SIEVE", "S3-FIFO", "LockedLRU", "SyncMapTTL")
+	// The loopy trace isolates what admission buys; the weighted cell keeps
+	// the unbounded sync.Map baseline for contrast.
+	admission := pick(cacheImpls(), "SIEVE", "SIEVE+TinyLFU", "S3-FIFO", "S3-FIFO+TinyLFU")
+	weighted := pick(cacheImpls(), "SIEVE+weights", "S3-FIFO+weights", "SIEVE+TinyLFU+weights", "SyncMapTTL")
 	return []Scenario{
-		{Family: "cache", Name: "zipf-0.99-get90-set10", Algos: cacheAlgos(mix(90, 10))},
-		{Family: "cache", Name: "zipf-0.99-get50-set50", Algos: cacheAlgos(mix(50, 50))},
-		{Family: "cache", Name: "stampede-cold-keys", Algos: cacheAlgos(runCacheStampede)},
-		{Family: "cache", Name: "loopy-admission", Algos: cacheAdmissionAlgos(runCacheLoopy)},
-		{Family: "cache", Name: "weighted-heavy-tail-get90-set10", Algos: cacheWeightedAlgos(mix(90, 10))},
+		{Family: "cache", Name: "zipf-0.99-get90-set10", Algos: cells(basic, mix(90, 10))},
+		{Family: "cache", Name: "zipf-0.99-get50-set50", Algos: cells(basic, mix(50, 50))},
+		{Family: "cache", Name: "stampede-cold-keys", Algos: cells(basic, runCacheStampede)},
+		{Family: "cache", Name: "loopy-admission", Algos: cells(admission, runCacheLoopy)},
+		{Family: "cache", Name: "weighted-heavy-tail-get90-set10", Algos: cells(weighted, mix(90, 10))},
 	}
 }

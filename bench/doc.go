@@ -1,13 +1,17 @@
-// Package bench is the measurement harness behind the experiment suite in
-// DESIGN.md: deterministic workload generation (uniform and Zipfian key
-// streams), a worker runner with a synchronised start line, per-operation
-// latency sampling into log-bucketed histograms, a mixed-workload scenario
-// engine, and two renderers — aligned text tables in the shape the survey
-// figures use, and a machine-readable JSON Report for tracking results
-// across revisions.
+// Package bench is the measurement harness behind the experiment suite
+// (`cdsbench -list` names every experiment): deterministic workload
+// generation (uniform and Zipfian key streams), a worker runner with a
+// synchronised start line, per-operation latency sampling into
+// log-bucketed histograms, and one table of cells. Every experiment — the
+// survey's figures (F) and tables (T), the scenario matrix (S) and the
+// ablations (A) — is a set of Scenarios whose cells (ScenarioAlgo) each
+// build a structure from their family's implementation table and yield
+// Records. Two renderers read the records: aligned text tables in the
+// shape the survey figures use, and a machine-readable JSON Report for
+// tracking results across revisions.
 //
-// Use cmd/cdsbench to regenerate every figure/table, or the testing.B
-// benches in the repository root for quick single-configuration runs.
+// Use cmd/cdsbench to regenerate every figure/table, or BenchmarkSuite in
+// the repository root to run the same cells under `go test -bench`.
 // README's "Reading the benchmarks" section walks through interpreting
 // the output; this comment is the schema reference.
 //
@@ -37,16 +41,16 @@
 //	  "algo":       "MS",              // algorithm / implementation label
 //	  "scenario":   "enq-heavy-70/30", // workload description
 //	  "threads":    4,                 // worker count
-//	  "ops":        400000,            // operations completed; omitted on
-//	  "elapsed_ns": 12345678,          // figure-derived records (as is
-//	  "ns_per_op":  81.6,              // elapsed_ns / ns_per_op), which
-//	                                   // keep only the headline value
+//	  "ops":        400000,            // operations the run completed,
+//	  "elapsed_ns": 12345678,          // its measured time, and their
+//	  "ns_per_op":  81.6,              // ratio; present on every record
+//	                                   // (a percent record shares its run's)
 //	  "value":      12.251,            // headline metric in "unit"
 //	  "unit":       "mops",            // "mops" unless noted (e.g. "percent")
 //	  "p50_ns":     71,                // latency percentiles; present only
 //	  "p90_ns":     102,               // when the cell sampled per-op
-//	  "p99_ns":     913,               // latency (scenario records do,
-//	  "p999_ns":    4096,              // figure-derived records do not)
+//	  "p99_ns":     913,               // latency (S and F12 records do,
+//	  "p999_ns":    4096,              // the other F/T/A records do not)
 //	  "samples":    400000,            // latency samples behind them
 //	  "gauges": {                      // end-of-run structure gauges;
 //	    "pending_garbage": 128,        // present only on cells that

@@ -6,45 +6,34 @@ import (
 )
 
 // TestExperimentsSmoke runs every experiment at smoke size on a tiny
-// sweep: the full figure-generation code path must produce well-formed,
-// renderable figures with the expected series.
+// sweep: every record must be labelled and non-negative, and the text
+// render must name the experiment.
 func TestExperimentsSmoke(t *testing.T) {
 	cfg := Config{Quick: true, Threads: []int{1, 2}, Ops: 2000}
 	for _, e := range Experiments() {
-		t.Run(e.ID, func(t *testing.T) {
-			figs := e.Run(cfg)
-			if len(figs) == 0 {
-				t.Fatalf("%s produced no figures", e.ID)
-			}
-			for _, fig := range figs {
-				if fig.ID == "" || fig.Title == "" || fig.XLabel == "" {
-					t.Fatalf("%s: incomplete figure metadata: %+v", e.ID, fig)
-				}
-				if len(fig.Series) == 0 {
-					t.Fatalf("%s: figure %q has no series", e.ID, fig.Title)
-				}
-				for _, s := range fig.Series {
-					if s.Label == "" {
-						t.Fatalf("%s: unlabelled series", e.ID)
-					}
-					if len(s.Points) == 0 {
-						t.Fatalf("%s: series %q has no points", e.ID, s.Label)
-					}
-					for _, p := range s.Points {
-						if p.Mops < 0 {
-							t.Fatalf("%s/%s: negative throughput %v", e.ID, s.Label, p.Mops)
-						}
-					}
-				}
-				var sb strings.Builder
-				if err := fig.Render(&sb); err != nil {
-					t.Fatalf("%s: render: %v", e.ID, err)
-				}
-				if !strings.Contains(sb.String(), fig.ID) {
-					t.Fatalf("%s: render output missing figure ID:\n%s", e.ID, sb.String())
-				}
-			}
-		})
+		t.Run(e.ID, func(t *testing.T) { checkExperiment(t, e, cfg) })
+	}
+}
+
+func checkExperiment(t *testing.T, e Experiment, cfg Config) {
+	recs := e.Records(cfg)
+	if len(recs) == 0 {
+		t.Fatalf("%s produced no records", e.ID)
+	}
+	for _, r := range recs {
+		if r.Family == "" || r.Algo == "" || r.Scenario == "" || r.Unit == "" {
+			t.Fatalf("%s: unlabelled record %+v", e.ID, r)
+		}
+		if r.Value < 0 || r.Ops < 0 || r.ElapsedNs < 0 || r.NsPerOp < 0 {
+			t.Fatalf("%s/%s: negative measurement %+v", e.ID, r.Algo, r)
+		}
+	}
+	var sb strings.Builder
+	if err := e.Render(&sb, recs); err != nil {
+		t.Fatalf("%s: render: %v", e.ID, err)
+	}
+	if !strings.Contains(sb.String(), e.ID) {
+		t.Fatalf("%s: render output missing experiment ID:\n%s", e.ID, sb.String())
 	}
 }
 
@@ -64,21 +53,7 @@ func TestFind(t *testing.T) {
 func TestAblationsSmoke(t *testing.T) {
 	cfg := Config{Quick: true, Ops: 2000}
 	for _, e := range Ablations() {
-		t.Run(e.ID, func(t *testing.T) {
-			figs := e.Run(cfg)
-			if len(figs) == 0 {
-				t.Fatalf("%s produced no figures", e.ID)
-			}
-			for _, fig := range figs {
-				if len(fig.Series) == 0 {
-					t.Fatalf("%s: no series", e.ID)
-				}
-				var sb strings.Builder
-				if err := fig.Render(&sb); err != nil {
-					t.Fatalf("%s: render: %v", e.ID, err)
-				}
-			}
-		})
+		t.Run(e.ID, func(t *testing.T) { checkExperiment(t, e, cfg) })
 	}
 }
 
@@ -142,7 +117,8 @@ func TestDefaultThreadSweep(t *testing.T) {
 // under the GC/EBR/HP/Recycled sweep with live gauges — the per-structure
 // replacement for the old synthetic single-pointer microbench.
 func TestF12PerStructureVariants(t *testing.T) {
-	recs := runF12Records(Config{Quick: true, Threads: []int{1}, Ops: 1500})
+	f12, _ := Find("F12")
+	recs := f12.Records(Config{Quick: true, Threads: []int{1}, Ops: 1500})
 	want := map[string]bool{}
 	for _, structure := range []string{"Treiber", "MS", "Harris", "SplitOrdered"} {
 		for _, v := range []string{"GC", "EBR", "HP", "Recycled"} {

@@ -222,18 +222,13 @@ func runPoolChannel(th int, wl poolWorkload) Result {
 	return Result{Workers: th, Ops: executed.Load(), Elapsed: time.Since(t0), Latency: mergeHists(hists)}
 }
 
-// poolAlgos is the S16 implementation sweep.
-func poolAlgos(mkWorkload func(cfg Config) poolWorkload) []ScenarioAlgo {
-	return []ScenarioAlgo{
-		{Label: "WorkStealing", Run: func(cfg Config, th int) Result {
-			return runPoolWS(th, mkWorkload(cfg))
-		}},
-		{Label: "SharedQueue", Run: func(cfg Config, th int) Result {
-			return runPoolSharedQueue(th, mkWorkload(cfg))
-		}},
-		{Label: "Channel", Run: func(cfg Config, th int) Result {
-			return runPoolChannel(th, mkWorkload(cfg))
-		}},
+// poolImpls is the S16 implementation table: each row runs a workload on
+// th workers.
+func poolImpls() []impl[func(th int, wl poolWorkload) Result] {
+	return []impl[func(th int, wl poolWorkload) Result]{
+		{"WorkStealing", runPoolWS},
+		{"SharedQueue", runPoolSharedQueue},
+		{"Channel", runPoolChannel},
 	}
 }
 
@@ -327,9 +322,14 @@ func zipfFanWorkload(cfg Config) poolWorkload {
 // poolScenarios is experiment S16: the work-stealing executor as a system
 // against the shared-queue and channel baselines.
 func poolScenarios() []Scenario {
+	scenario := func(name string, mkWorkload func(cfg Config) poolWorkload) Scenario {
+		return Scenario{Family: "pool", Name: name, Algos: cells(poolImpls(), func(run func(int, poolWorkload) Result, cfg Config, th int) Result {
+			return run(th, mkWorkload(cfg))
+		})}
+	}
 	return []Scenario{
-		{Family: "pool", Name: "fork-join-tree", Algos: poolAlgos(forkJoinWorkload)},
-		{Family: "pool", Name: "fan-out-burst-64", Algos: poolAlgos(fanOutWorkload)},
-		{Family: "pool", Name: "zipf-fan-producers-0.99", Algos: poolAlgos(zipfFanWorkload)},
+		scenario("fork-join-tree", forkJoinWorkload),
+		scenario("fan-out-burst-64", fanOutWorkload),
+		scenario("zipf-fan-producers-0.99", zipfFanWorkload),
 	}
 }

@@ -14,7 +14,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files")
 
 // goldenReport is a fully deterministic report: fixed meta, one
-// latency-rich scenario record and one figure-derived record, covering
+// latency-rich scenario record and one headline-only record, covering
 // both serialization shapes.
 func goldenReport() Report {
 	return Report{
@@ -143,41 +143,15 @@ func TestResultRecordConversion(t *testing.T) {
 	}
 }
 
-func TestFigureRecords(t *testing.T) {
-	fig := Figure{
-		ID:     "F4",
-		Title:  "queue ops/sec",
-		Family: "queue",
-		XLabel: "threads",
-		Series: []Series{
-			{Label: "MS", Points: []Point{{X: 1, Mops: 5}, {X: 2, Mops: 8}}},
-			{Label: "hit", Unit: UnitPercent, Points: []Point{{X: 1, Mops: 50}}},
-		},
-	}
-	recs := fig.Records()
-	if len(recs) != 3 {
-		t.Fatalf("got %d records, want 3", len(recs))
-	}
-	if recs[0].Family != "queue" || recs[0].Algo != "MS" || recs[0].Unit != UnitMops || recs[0].Value != 5 {
-		t.Fatalf("record 0 wrong: %+v", recs[0])
-	}
-	if recs[2].Unit != UnitPercent {
-		t.Fatalf("unit not propagated: %+v", recs[2])
-	}
-}
-
-// TestBuildReport exercises the assembly path with one synthetic records
-// experiment and one synthetic figure experiment.
+// TestBuildReport exercises the assembly path with one synthetic
+// experiment.
 func TestBuildReport(t *testing.T) {
-	exps := []Experiment{
-		{ID: "X1", Title: "records-native", Records: func(Config) []Record {
-			return []Record{{Family: "queue", Algo: "MS", Scenario: "m", Threads: 1, Unit: UnitMops, P50Ns: 10}}
-		}},
-		{ID: "X2", Title: "figure-derived", Run: func(Config) []Figure {
-			return []Figure{{ID: "X2", Title: "t", Family: "stack", XLabel: "threads",
-				Series: []Series{{Label: "A", Points: []Point{{X: 1, Mops: 1}}}}}}
-		}},
-	}
+	exps := []Experiment{{ID: "X1", Title: "synthetic", Scenarios: []Scenario{{
+		Family: "queue", Name: "m", Xs: []int{1},
+		Algos: []ScenarioAlgo{{Label: "MS", Run: func(Config, int) Result {
+			return Result{Workers: 1, Ops: 10, Elapsed: time.Microsecond}
+		}}},
+	}}}}
 	rep := BuildReport(Config{Quick: true}, exps)
 	if rep.Schema != ReportSchema {
 		t.Fatalf("schema = %q", rep.Schema)
@@ -185,10 +159,10 @@ func TestBuildReport(t *testing.T) {
 	if rep.Meta.GoVersion == "" || rep.Meta.GOMAXPROCS == 0 || !rep.Meta.Quick {
 		t.Fatalf("meta not captured: %+v", rep.Meta)
 	}
-	if len(rep.Records) != 2 {
-		t.Fatalf("got %d records, want 2", len(rep.Records))
+	if len(rep.Records) != 1 {
+		t.Fatalf("got %d records, want 1", len(rep.Records))
 	}
-	if rep.Records[0].P50Ns != 10 || rep.Records[1].Family != "stack" {
-		t.Fatalf("records wrong: %+v", rep.Records)
+	if r := rep.Records[0]; r.Family != "queue" || r.Algo != "MS" || r.Scenario != "m" || r.Threads != 1 || r.Ops != 10 {
+		t.Fatalf("record wrong: %+v", r)
 	}
 }

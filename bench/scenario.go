@@ -10,6 +10,7 @@ import (
 
 	cds "github.com/cds-suite/cds"
 	"github.com/cds-suite/cds/barrier"
+	"github.com/cds-suite/cds/cmap"
 	"github.com/cds-suite/cds/contend"
 	"github.com/cds-suite/cds/counter"
 	"github.com/cds-suite/cds/deque"
@@ -95,14 +96,15 @@ func (g *MixGen) Next() int {
 	return int(k)
 }
 
-// ScenarioAlgo is one implementation measured under a scenario.
+// ScenarioAlgo is one implementation measured under a scenario: a cell
+// of the suite's table.
 type ScenarioAlgo struct {
 	// Label names the implementation.
 	Label string
-	// Run measures one cell: construct a fresh structure, prefill it,
-	// and drive the scenario's mix at the given thread count with
-	// latency sampling.
-	Run func(cfg Config, threads int) Result
+	// Run measures one cell at sweep value x — the thread count unless
+	// the scenario declares Xs: construct a fresh structure, prefill it,
+	// and drive the scenario's mix.
+	Run func(cfg Config, x int) Result
 }
 
 // Scenario is one workload mix applied to every algorithm of a family.
@@ -111,212 +113,487 @@ type Scenario struct {
 	Family string
 	// Name describes the mix (e.g. "enq-heavy-70/30-uniform").
 	Name string
+	// Xs, when set, is a fixed sweep of something other than the thread
+	// count (stealers, θ×100, a design parameter) that replaces the
+	// configured thread sweep; records carry the value in their threads
+	// field.
+	Xs []int
 	// Algos are the implementations measured under this mix.
 	Algos []ScenarioAlgo
 }
 
-// Run measures the scenario across the configured thread sweep, returning
-// one record per (algorithm, thread count).
+// Sweep returns the values the scenario's cells run at under cfg.
+func (s Scenario) Sweep(cfg Config) []int {
+	if s.Xs != nil {
+		return s.Xs
+	}
+	return cfg.threads()
+}
+
+// Run measures the scenario across its sweep, returning the records of
+// every (algorithm, sweep value) cell: one each, or one per metric for
+// cells that report Metrics.
 func (s Scenario) Run(cfg Config) []Record {
 	var recs []Record
 	for _, a := range s.Algos {
-		for _, th := range cfg.threads() {
-			recs = append(recs, a.Run(cfg, th).Record(s.Family, a.Label, s.Name))
+		for _, x := range s.Sweep(cfg) {
+			res := a.Run(cfg, x)
+			rec := res.Record(s.Family, a.Label, s.Name)
+			rec.Threads = x
+			if len(res.Metrics) == 0 {
+				recs = append(recs, rec)
+			}
+			for _, m := range res.Metrics {
+				rec.Algo, rec.Value, rec.Unit = m.Label, m.Value, m.Unit
+				recs = append(recs, rec)
+			}
 		}
 	}
 	return recs
 }
 
 // Scenarios returns the full mixed-workload matrix: at least two scenario
-// cells per structure family beyond the throughput-vs-threads figures.
+// cells per structure family.
 func Scenarios() []Scenario {
 	var all []Scenario
-	all = append(all, stackScenarios()...)
-	all = append(all, queueScenarios()...)
-	all = append(all, mapScenarios()...)
-	all = append(all, listScenarios()...)
-	all = append(all, skiplistScenarios()...)
-	all = append(all, pqueueScenarios()...)
-	all = append(all, dequeScenarios()...)
-	all = append(all, counterScenarios()...)
-	all = append(all, stmScenarios()...)
-	all = append(all, lockScenarios()...)
-	all = append(all, barrierScenarios()...)
-	all = append(all, reclaimScenarios()...)
-	all = append(all, contendScenarios()...)
-	all = append(all, reclaimStructScenarios()...)
-	all = append(all, dualScenarios()...)
-	all = append(all, poolScenarios()...)
-	all = append(all, cacheScenarios()...)
-	all = append(all, segQueueScenarios()...)
+	for _, fam := range [][]Scenario{
+		stackScenarios(), queueScenarios(), mapScenarios(), listScenarios(),
+		skiplistScenarios(), pqueueScenarios(), dequeScenarios(),
+		counterScenarios(), stmScenarios(), lockScenarios(), barrierScenarios(),
+		reclaimScenarios(), contendScenarios(), reclaimStructScenarios(),
+		dualScenarios(), poolScenarios(), cacheScenarios(), segQueueScenarios(),
+	} {
+		all = append(all, fam...)
+	}
 	return all
 }
 
-// ScenarioFamilies returns the distinct families in matrix order.
-func ScenarioFamilies() []string {
-	var fams []string
-	seen := map[string]bool{}
-	for _, s := range Scenarios() {
-		if !seen[s.Family] {
-			seen[s.Family] = true
-			fams = append(fams, s.Family)
-		}
-	}
-	return fams
+// --- implementation tables --------------------------------------------------
+
+// impl is one row of a family's implementation table: a label and the
+// constructor C every cell of the family builds it with. Each family
+// declares its table once; its F, T, S and A cells pick rows from it.
+type impl[C any] struct {
+	label string
+	mk    C
 }
 
-// RunScenarioRecords measures the whole matrix.
-func RunScenarioRecords(cfg Config) []Record {
-	var recs []Record
-	for _, s := range Scenarios() {
-		recs = append(recs, s.Run(cfg)...)
-	}
-	return recs
-}
-
-// scenarioFigures renders a family's records as text-mode figures: one
-// throughput figure and one p99-latency figure per scenario.
-func scenarioFigures(family string, recs []Record) []Figure {
-	var order []string
-	byScenario := map[string][]Record{}
-	for _, r := range recs {
-		if _, ok := byScenario[r.Scenario]; !ok {
-			order = append(order, r.Scenario)
-		}
-		byScenario[r.Scenario] = append(byScenario[r.Scenario], r)
-	}
-	var figs []Figure
-	for _, name := range order {
-		group := byScenario[name]
-		thr := Figure{
-			ID:     "S-" + family,
-			Title:  fmt.Sprintf("%s scenario %q, throughput (Mops/s)", family, name),
-			Family: family,
-			XLabel: "threads",
-		}
-		lat := Figure{
-			ID:     "S-" + family,
-			Title:  fmt.Sprintf("%s scenario %q, p99 latency (column = µs)", family, name),
-			Family: family,
-			XLabel: "threads",
-		}
-		var algos []string
-		seen := map[string]bool{}
-		for _, r := range group {
-			if !seen[r.Algo] {
-				seen[r.Algo] = true
-				algos = append(algos, r.Algo)
+// pick returns the named rows of a table, in the order given.
+func pick[C any](impls []impl[C], labels ...string) []impl[C] {
+	out := make([]impl[C], 0, len(labels))
+	for _, l := range labels {
+		n := len(out)
+		for _, im := range impls {
+			if im.label == l {
+				out = append(out, im)
 			}
 		}
-		for _, algo := range algos {
-			ts := Series{Label: algo}
-			ls := Series{Label: algo, Unit: "us"}
-			for _, r := range group {
-				if r.Algo != algo {
-					continue
-				}
-				ts.Points = append(ts.Points, Point{X: r.Threads, Mops: r.Value})
-				ls.Points = append(ls.Points, Point{X: r.Threads, Mops: float64(r.P99Ns) / 1e3})
-			}
-			thr.Series = append(thr.Series, ts)
-			lat.Series = append(lat.Series, ls)
+		if len(out) == n {
+			panic("bench: no implementation " + l)
 		}
-		figs = append(figs, thr, lat)
 	}
-	return figs
+	return out
 }
 
-// --- family matrices --------------------------------------------------------
+// withPrefix returns the table with every label prefixed.
+func withPrefix[C any](prefix string, impls []impl[C]) []impl[C] {
+	out := make([]impl[C], len(impls))
+	for i, im := range impls {
+		out[i] = impl[C]{prefix + im.label, im.mk}
+	}
+	return out
+}
 
-func stackScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Stack[int]
-	}{
+// cells turns table rows into scenario cells that each run body with
+// their row's constructor.
+func cells[C any](impls []impl[C], body func(mk C, cfg Config, x int) Result) []ScenarioAlgo {
+	algos := make([]ScenarioAlgo, len(impls))
+	for i, im := range impls {
+		algos[i] = ScenarioAlgo{Label: im.label, Run: func(cfg Config, x int) Result {
+			return body(im.mk, cfg, x)
+		}}
+	}
+	return algos
+}
+
+// backendLabel names a combining-backed row: the base label for flat
+// combining, base/backend for the others.
+func backendLabel(base string, be contend.Backend) string {
+	if be == contend.BackendFlatCombining {
+		return base
+	}
+	return base + "/" + be.String()
+}
+
+func lockImpls() []impl[func() func() sync.Locker] {
+	// Each constructor returns the per-worker locker factory: the queue
+	// locks hand every worker its own node-carrying Locker.
+	shared := func(l sync.Locker) func() sync.Locker { return func() sync.Locker { return l } }
+	return []impl[func() func() sync.Locker]{
+		{"sync.Mutex", func() func() sync.Locker { return shared(&sync.Mutex{}) }},
+		{"TAS", func() func() sync.Locker { return shared(&locks.TASLock{}) }},
+		{"TTAS", func() func() sync.Locker { return shared(&locks.TTASLock{}) }},
+		{"Backoff", func() func() sync.Locker { return shared(&locks.BackoffLock{}) }},
+		{"Ticket", func() func() sync.Locker { return shared(&locks.TicketLock{}) }},
+		{"MCS", func() func() sync.Locker { return (&locks.MCSLock{}).Locker }},
+		{"CLH", func() func() sync.Locker { return (&locks.CLHLock{}).Locker }},
+	}
+}
+
+func counterImpls() []impl[func() cds.Counter] {
+	impls := []impl[func() cds.Counter]{
+		{"Locked", func() cds.Counter { return &counter.Locked{} }},
+		{"Atomic", func() cds.Counter { return &counter.Atomic{} }},
+		{"Sharded", func() cds.Counter { return counter.NewSharded(0) }},
+		{"Approx", func() cds.Counter { return counter.NewApprox(0, 64) }},
+	}
+	for _, be := range contend.Backends() {
+		impls = append(impls, impl[func() cds.Counter]{backendLabel("Combining", be),
+			func() cds.Counter { return counter.NewCombining(counter.WithBackend(be)) }})
+	}
+	return impls
+}
+
+func stackImpls() []impl[func() cds.Stack[int]] {
+	return []impl[func() cds.Stack[int]]{
 		{"Mutex", func() cds.Stack[int] { return stack.NewMutex[int]() }},
 		{"Treiber", func() cds.Stack[int] { return stack.NewTreiber[int]() }},
 		{"Elimination", func() cds.Stack[int] { return stack.NewElimination[int](0, 0) }},
 		{"FC", func() cds.Stack[int] { return fc.NewStack[int]() }},
 	}
-	mkScenario := func(name string, pushPct int) Scenario {
-		s := Scenario{Family: "stack", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				st := mk()
-				for i := 0; i < 1024; i++ {
-					st.Push(i)
-				}
-				ops := cfg.ops(200000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					mix := NewMixGen(uint64(w)*7919+1, pushPct, 100-pushPct)
-					return func(i int) {
-						if mix.Next() == 0 {
-							st.Push(i)
-						} else {
-							st.TryPop()
-						}
-					}
-				})
-			}})
-		}
-		return s
-	}
-	return []Scenario{
-		mkScenario("push-heavy-70/30", 70),
-		mkScenario("pop-heavy-30/70", 30),
-	}
 }
 
-func queueScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Queue[int]
-	}{
+// ringQueue adapts the bounded MPMC ring to cds.Queue; an Enqueue on a
+// full ring is dropped.
+type ringQueue struct{ *queue.MPMC[int] }
+
+func (q ringQueue) Enqueue(v int) { q.TryEnqueue(v) }
+
+func queueImpls() []impl[func() cds.Queue[int]] {
+	impls := []impl[func() cds.Queue[int]]{
 		{"Mutex", func() cds.Queue[int] { return queue.NewMutex[int]() }},
 		{"TwoLock", func() cds.Queue[int] { return queue.NewTwoLock[int]() }},
 		{"MS", func() cds.Queue[int] { return queue.NewMS[int]() }},
 		{"ElimMS", func() cds.Queue[int] { return queue.NewElimination[int](0, 0) }},
-		{"FC", func() cds.Queue[int] { return fc.NewQueue[int]() }},
 	}
-	mixed := Scenario{Family: "queue", Name: "enq-heavy-70/30"}
-	split := Scenario{Family: "queue", Name: "producer-consumer-split"}
-	for _, im := range impls {
-		mk := im.mk
-		mixed.Algos = append(mixed.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			q := mk()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
+	for _, be := range contend.Backends() {
+		impls = append(impls, impl[func() cds.Queue[int]]{backendLabel("FC", be),
+			func() cds.Queue[int] { return fc.NewQueue[int](fc.WithBackend(be)) }})
+	}
+	return append(impls, impl[func() cds.Queue[int]]{"MPMC-64k",
+		func() cds.Queue[int] { return ringQueue{queue.NewMPMC[int](1 << 16)} }})
+}
+
+// syncMapAdapter wraps sync.Map as a cds.Map for baseline comparison.
+type syncMapAdapter struct{ m sync.Map }
+
+func (a *syncMapAdapter) Load(k int) (int, bool) {
+	v, ok := a.m.Load(k)
+	if !ok {
+		return 0, false
+	}
+	return v.(int), true
+}
+func (a *syncMapAdapter) Store(k, v int) { a.m.Store(k, v) }
+func (a *syncMapAdapter) LoadOrStore(k, v int) (int, bool) {
+	actual, loaded := a.m.LoadOrStore(k, v)
+	return actual.(int), loaded
+}
+func (a *syncMapAdapter) Delete(k int) bool {
+	_, loaded := a.m.LoadAndDelete(k)
+	return loaded
+}
+func (a *syncMapAdapter) Len() int {
+	n := 0
+	a.m.Range(func(any, any) bool { n++; return true })
+	return n
+}
+
+func mapImpls() []impl[func() cds.Map[int, int]] {
+	return []impl[func() cds.Map[int, int]]{
+		{"Locked", func() cds.Map[int, int] { return cmap.NewLocked[int, int]() }},
+		{"Striped", func() cds.Map[int, int] { return cmap.NewStriped[int, int](64) }},
+		{"SplitOrdered", func() cds.Map[int, int] { return cmap.NewSplitOrdered[int, int]() }},
+		{"sync.Map", func() cds.Map[int, int] { return &syncMapAdapter{} }},
+	}
+}
+
+func listImpls() []impl[func() cds.Set[int]] {
+	return []impl[func() cds.Set[int]]{
+		{"Coarse", func() cds.Set[int] { return list.NewCoarse[int]() }},
+		{"Fine", func() cds.Set[int] { return list.NewFine[int]() }},
+		{"Optimistic", func() cds.Set[int] { return list.NewOptimistic[int]() }},
+		{"Lazy", func() cds.Set[int] { return list.NewLazy[int]() }},
+		{"Harris", func() cds.Set[int] { return list.NewHarris[int]() }},
+	}
+}
+
+func skiplistImpls() []impl[func() cds.Set[int]] {
+	return []impl[func() cds.Set[int]]{
+		{"Lazy", func() cds.Set[int] { return skiplist.NewLazy[int]() }},
+		{"LockFree", func() cds.Set[int] { return skiplist.NewLockFree[int]() }},
+	}
+}
+
+func pqueueImpls() []impl[func() cds.PriorityQueue[int]] {
+	less := func(a, b int) bool { return a < b }
+	impls := []impl[func() cds.PriorityQueue[int]]{
+		{"LockedHeap", func() cds.PriorityQueue[int] { return pqueue.NewHeap[int](less) }},
+		{"SkipListPQ", func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
+	}
+	for _, be := range contend.Backends() {
+		impls = append(impls, impl[func() cds.PriorityQueue[int]]{backendLabel("FCHeap", be),
+			func() cds.PriorityQueue[int] { return pqueue.NewFC[int](less, pqueue.WithBackend(be)) }})
+	}
+	return impls
+}
+
+func dequeImpls() []impl[func() cds.Deque[int]] {
+	impls := []impl[func() cds.Deque[int]]{
+		{"ChaseLev", func() cds.Deque[int] { return deque.NewChaseLev[int](1024) }},
+		{"MutexDeque", func() cds.Deque[int] { return deque.NewMutex[int]() }},
+	}
+	for _, be := range contend.Backends() {
+		impls = append(impls, impl[func() cds.Deque[int]]{backendLabel("FCDeque", be),
+			func() cds.Deque[int] { return deque.NewFC[int](deque.WithBackend(be)) }})
+	}
+	return impls
+}
+
+type waiter interface{ Wait() }
+
+// barrierImpls constructors build an n-party barrier and return its n
+// per-worker handles.
+func barrierImpls() []impl[func(n int) []waiter] {
+	handles := func(n int, h func() waiter) []waiter {
+		hs := make([]waiter, n)
+		for i := range hs {
+			hs[i] = h()
+		}
+		return hs
+	}
+	return []impl[func(n int) []waiter]{
+		{"Sense", func(n int) []waiter {
+			b := barrier.NewSense(n)
+			return handles(n, func() waiter { return b.Handle() })
+		}},
+		{"Tree", func(n int) []waiter {
+			b := barrier.NewTree(n)
+			return handles(n, func() waiter { return b.Handle() })
+		}},
+		{"Dissemination", func(n int) []waiter {
+			b := barrier.NewDissemination(n)
+			return handles(n, func() waiter { return b.Handle() })
+		}},
+	}
+}
+
+// bankImpls constructors set up accounts balances and return the
+// transfer that moves one unit from one account to another.
+func bankImpls(accounts int) []impl[func() func(from, to int)] {
+	return []impl[func() func(from, to int)]{
+		{"STM", func() func(from, to int) {
+			vars := make([]*stm.TVar[int], accounts)
+			for i := range vars {
+				vars[i] = stm.NewTVar(1000)
 			}
-			ops := cfg.ops(200000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*7919+1, 70, 30)
+			return func(from, to int) {
+				stm.Atomically(func(tx *stm.Txn) {
+					f := vars[from].Read(tx)
+					vars[from].Write(tx, f-1)
+					vars[to].Write(tx, vars[to].Read(tx)+1)
+				})
+			}
+		}},
+		{"GlobalLock", func() func(from, to int) {
+			balances := make([]int, accounts)
+			var mu sync.Mutex
+			return func(from, to int) {
+				mu.Lock()
+				balances[from]--
+				balances[to]++
+				mu.Unlock()
+			}
+		}},
+	}
+}
+
+// --- shared workload pieces --------------------------------------------------
+
+// runner is Run or RunLatency: the F/T/A cells measure throughput alone,
+// the S cells sample per-operation latency.
+type runner func(workers, opsPerWorker int, mkOp func(w int) func(i int)) Result
+
+// prefill adds 0..n-1.
+func prefill(n int, add func(int)) {
+	for i := 0; i < n; i++ {
+		add(i)
+	}
+}
+
+// prefillSet adds keyRange/2 seeded random keys.
+func prefillSet(s cds.Set[int], keyRange int, seed uint64) {
+	pre := xrand.New(seed)
+	for i := 0; i < keyRange/2; i++ {
+		s.Add(pre.Intn(keyRange))
+	}
+}
+
+// prefillMap stores keyRange/2 seeded random keys.
+func prefillMap(m cds.Map[int, int], keyRange int) {
+	pre := xrand.New(7)
+	for i := 0; i < keyRange/2; i++ {
+		m.Store(pre.Intn(keyRange), i)
+	}
+}
+
+func prefillPQ(pq cds.PriorityQueue[int]) {
+	pre := xrand.New(11)
+	for i := 0; i < 4096; i++ {
+		pq.Insert(pre.Intn(1 << 20))
+	}
+}
+
+// stackMixOp is the coin-flip 50/50 push-pop mix.
+func stackMixOp(s cds.Stack[int]) func(w int) func(int) {
+	return func(w int) func(int) {
+		rng := xrand.New(uint64(w) + 1)
+		return func(int) {
+			if rng.Uint64()&1 == 0 {
+				s.Push(7)
+			} else {
+				s.TryPop()
+			}
+		}
+	}
+}
+
+// opsQueue is the coin-flip 50/50 enqueue-dequeue mix.
+func opsQueue(q cds.Queue[int]) func(w int) func(int) {
+	return func(w int) func(int) {
+		rng := xrand.New(uint64(w) + 1)
+		return func(int) {
+			if rng.Uint64()&1 == 0 {
+				q.Enqueue(7)
+			} else {
+				q.TryDequeue()
+			}
+		}
+	}
+}
+
+// setMixOp builds a readPct% contains / rest split add-remove operation mix.
+func setMixOp(set cds.Set[int], keyRange int, readPct uint64) func(w int) func(int) {
+	return func(w int) func(int) {
+		rng := xrand.New(uint64(w)*2654435761 + 1)
+		return func(int) {
+			k := rng.Intn(keyRange)
+			r := rng.Uint64n(100)
+			switch {
+			case r < readPct:
+				set.Contains(k)
+			case r < readPct+(100-readPct)/2:
+				set.Add(k)
+			default:
+				set.Remove(k)
+			}
+		}
+	}
+}
+
+func mapMixOp(m cds.Map[int, int], keyRange int, theta float64, readPct uint64) func(w int) func(int) {
+	return func(w int) func(int) {
+		keys, err := NewKeyStream(uint64(keyRange), theta, uint64(w)+1)
+		if err != nil {
+			panic(err) // static parameters; cannot fail at runtime
+		}
+		rng := xrand.New(uint64(w)*912367 + 5)
+		return func(int) {
+			k := int(keys.Next())
+			r := rng.Uint64n(100)
+			switch {
+			case r < readPct:
+				m.Load(k)
+			case r < readPct+(100-readPct)/2:
+				m.Store(k, 42)
+			default:
+				m.Delete(k)
+			}
+		}
+	}
+}
+
+// bankCell drives random transfers between distinct accounts.
+func bankCell(run runner, accounts, defOps int) func(mk func() func(from, to int), cfg Config, th int) Result {
+	return func(mk func() func(from, to int), cfg Config, th int) Result {
+		transfer := mk()
+		return run(th, cfg.ops(defOps)/th+1, func(w int) func(int) {
+			rng := xrand.New(uint64(w) + 23)
+			return func(int) {
+				from, to := rng.Intn(accounts), rng.Intn(accounts)
+				if from == to {
+					to = (to + 1) % accounts
+				}
+				transfer(from, to)
+			}
+		})
+	}
+}
+
+// --- family matrices --------------------------------------------------------
+
+func stackScenarios() []Scenario {
+	scenario := func(name string, pushPct int) Scenario {
+		return Scenario{Family: "stack", Name: name, Algos: cells(stackImpls(), func(mk func() cds.Stack[int], cfg Config, th int) Result {
+			st := mk()
+			prefill(1024, st.Push)
+			return RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+				mix := NewMixGen(uint64(w)*7919+1, pushPct, 100-pushPct)
 				return func(i int) {
 					if mix.Next() == 0 {
-						q.Enqueue(i)
+						st.Push(i)
 					} else {
-						q.TryDequeue()
+						st.TryPop()
 					}
 				}
 			})
-		}})
-		split.Algos = append(split.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			q := mk()
-			for i := 0; i < 1024; i++ {
-				q.Enqueue(i)
-			}
-			ops := cfg.ops(200000)
-			// Even workers produce, odd workers consume — the asymmetric
-			// regime where head and tail contention decouple (and where
-			// the two-lock queue earns its second lock).
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				if w%2 == 0 {
-					return func(i int) { q.Enqueue(i) }
-				}
-				return func(int) { q.TryDequeue() }
-			})
-		}})
+		})}
 	}
+	return []Scenario{
+		scenario("push-heavy-70/30", 70),
+		scenario("pop-heavy-30/70", 30),
+	}
+}
+
+func queueScenarios() []Scenario {
+	impls := pick(queueImpls(), "Mutex", "TwoLock", "MS", "ElimMS", "FC")
+	mixed := Scenario{Family: "queue", Name: "enq-heavy-70/30", Algos: cells(impls, func(mk func() cds.Queue[int], cfg Config, th int) Result {
+		q := mk()
+		prefill(1024, q.Enqueue)
+		return RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			mix := NewMixGen(uint64(w)*7919+1, 70, 30)
+			return func(i int) {
+				if mix.Next() == 0 {
+					q.Enqueue(i)
+				} else {
+					q.TryDequeue()
+				}
+			}
+		})
+	})}
+	split := Scenario{Family: "queue", Name: "producer-consumer-split", Algos: cells(impls, func(mk func() cds.Queue[int], cfg Config, th int) Result {
+		q := mk()
+		prefill(1024, q.Enqueue)
+		// Even workers produce, odd workers consume — the asymmetric
+		// regime where head and tail contention decouple (and where the
+		// two-lock queue earns its second lock).
+		return RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			if w%2 == 0 {
+				return func(i int) { q.Enqueue(i) }
+			}
+			return func(int) { q.TryDequeue() }
+		})
+	})}
 	// The segmented/bounded designs ride along with structure gauges
 	// attached (segment-lifecycle counters for the LCRQ, CAS-miss/backoff
 	// counters for the MPMC ring); see bench/segqueue.go.
@@ -328,93 +605,65 @@ func queueScenarios() []Scenario {
 
 func mapScenarios() []Scenario {
 	const keyRange = 1 << 16
-	mkScenario := func(name string, readPct int, theta float64) Scenario {
-		s := Scenario{Family: "cmap", Name: name}
-		for _, im := range mapImpls() {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				m := mk()
-				pre := xrand.New(7)
-				for i := 0; i < keyRange/2; i++ {
-					m.Store(pre.Intn(keyRange), i)
-				}
-				ops := cfg.ops(100000)
-				write := (100 - readPct) / 2
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					keys, err := NewKeyStream(keyRange, theta, uint64(w)+1)
-					if err != nil {
-						panic(err) // static parameters; cannot fail at runtime
-					}
-					mix := NewMixGen(uint64(w)*912367+5, readPct, write, 100-readPct-write)
-					return func(int) {
-						k := int(keys.Next())
-						switch mix.Next() {
-						case 0:
-							m.Load(k)
-						case 1:
-							m.Store(k, 42)
-						default:
-							m.Delete(k)
-						}
-					}
-				})
-			}})
-		}
-		return s
-	}
-	return []Scenario{
-		mkScenario("read90/10-uniform", 90, 0),
-		mkScenario("read50/50-zipf0.99", 50, 0.99),
-	}
-}
-
-func setScenario(family, name string, readPct, keyRange int, theta float64, impls []struct {
-	label string
-	mk    func() cds.Set[int]
-}) Scenario {
-	s := Scenario{Family: family, Name: name}
-	for _, im := range impls {
-		mk := im.mk
-		s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			set := mk()
-			pre := xrand.New(99)
-			for i := 0; i < keyRange/2; i++ {
-				set.Add(pre.Intn(keyRange))
-			}
-			ops := cfg.ops(60000)
+	scenario := func(name string, readPct int, theta float64) Scenario {
+		return Scenario{Family: "cmap", Name: name, Algos: cells(mapImpls(), func(mk func() cds.Map[int, int], cfg Config, th int) Result {
+			m := mk()
+			prefillMap(m, keyRange)
 			write := (100 - readPct) / 2
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				keys, err := NewKeyStream(uint64(keyRange), theta, uint64(w)*2654435761+1)
+			return RunLatency(th, cfg.ops(100000)/th+1, func(w int) func(int) {
+				keys, err := NewKeyStream(keyRange, theta, uint64(w)+1)
 				if err != nil {
 					panic(err) // static parameters; cannot fail at runtime
 				}
-				mix := NewMixGen(uint64(w)*31+7, readPct, write, 100-readPct-write)
+				mix := NewMixGen(uint64(w)*912367+5, readPct, write, 100-readPct-write)
 				return func(int) {
 					k := int(keys.Next())
 					switch mix.Next() {
 					case 0:
-						set.Contains(k)
+						m.Load(k)
 					case 1:
-						set.Add(k)
+						m.Store(k, 42)
 					default:
-						set.Remove(k)
+						m.Delete(k)
 					}
 				}
 			})
-		}})
+		})}
 	}
-	return s
+	return []Scenario{
+		scenario("read90/10-uniform", 90, 0),
+		scenario("read50/50-zipf0.99", 50, 0.99),
+	}
+}
+
+func setScenario(family, name string, readPct, keyRange int, theta float64, impls []impl[func() cds.Set[int]]) Scenario {
+	return Scenario{Family: family, Name: name, Algos: cells(impls, func(mk func() cds.Set[int], cfg Config, th int) Result {
+		set := mk()
+		prefillSet(set, keyRange, 99)
+		write := (100 - readPct) / 2
+		return RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
+			keys, err := NewKeyStream(uint64(keyRange), theta, uint64(w)*2654435761+1)
+			if err != nil {
+				panic(err) // static parameters; cannot fail at runtime
+			}
+			mix := NewMixGen(uint64(w)*31+7, readPct, write, 100-readPct-write)
+			return func(int) {
+				k := int(keys.Next())
+				switch mix.Next() {
+				case 0:
+					set.Contains(k)
+				case 1:
+					set.Add(k)
+				default:
+					set.Remove(k)
+				}
+			}
+		})
+	})}
 }
 
 func listScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Set[int]
-	}{
-		{"Coarse", func() cds.Set[int] { return list.NewCoarse[int]() }},
-		{"Lazy", func() cds.Set[int] { return list.NewLazy[int]() }},
-		{"Harris", func() cds.Set[int] { return list.NewHarris[int]() }},
-	}
+	impls := pick(listImpls(), "Coarse", "Lazy", "Harris")
 	return []Scenario{
 		setScenario("list", "read90/10-uniform-1k", 90, 1024, 0, impls),
 		setScenario("list", "read50/50-uniform-1k", 50, 1024, 0, impls),
@@ -422,253 +671,122 @@ func listScenarios() []Scenario {
 }
 
 func skiplistScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Set[int]
-	}{
-		{"Lazy", func() cds.Set[int] { return skiplist.NewLazy[int]() }},
-		{"LockFree", func() cds.Set[int] { return skiplist.NewLockFree[int]() }},
-	}
 	return []Scenario{
-		setScenario("skiplist", "read90/10-zipf0.99", 90, 1<<16, 0.99, impls),
-		setScenario("skiplist", "read50/50-uniform", 50, 1<<16, 0, impls),
+		setScenario("skiplist", "read90/10-zipf0.99", 90, 1<<16, 0.99, skiplistImpls()),
+		setScenario("skiplist", "read50/50-uniform", 50, 1<<16, 0, skiplistImpls()),
 	}
 }
 
 func pqueueScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.PriorityQueue[int]
-	}{
-		{"LockedHeap", func() cds.PriorityQueue[int] {
-			return pqueue.NewHeap[int](func(a, b int) bool { return a < b })
-		}},
-		{"SkipListPQ", func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
-		{"FCHeap", func() cds.PriorityQueue[int] {
-			return pqueue.NewFC[int](func(a, b int) bool { return a < b })
-		}},
-	}
-	mkScenario := func(name string, insertPct int) Scenario {
-		s := Scenario{Family: "pqueue", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				pq := mk()
-				pre := xrand.New(11)
-				for i := 0; i < 4096; i++ {
-					pq.Insert(pre.Intn(1 << 20))
-				}
-				ops := cfg.ops(60000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					mix := NewMixGen(uint64(w)*13+17, insertPct, 100-insertPct)
-					rng := xrand.New(uint64(w) + 17)
-					return func(int) {
-						if mix.Next() == 0 {
-							pq.Insert(rng.Intn(1 << 20))
-						} else {
-							pq.TryDeleteMin()
-						}
+	scenario := func(name string, insertPct int) Scenario {
+		return Scenario{Family: "pqueue", Name: name, Algos: cells(pick(pqueueImpls(), "LockedHeap", "SkipListPQ", "FCHeap"), func(mk func() cds.PriorityQueue[int], cfg Config, th int) Result {
+			pq := mk()
+			prefillPQ(pq)
+			return RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
+				mix := NewMixGen(uint64(w)*13+17, insertPct, 100-insertPct)
+				rng := xrand.New(uint64(w) + 17)
+				return func(int) {
+					if mix.Next() == 0 {
+						pq.Insert(rng.Intn(1 << 20))
+					} else {
+						pq.TryDeleteMin()
 					}
-				})
-			}})
-		}
-		return s
+				}
+			})
+		})}
 	}
 	return []Scenario{
-		mkScenario("insert-heavy-90/10", 90),
-		mkScenario("balanced-50/50", 50),
+		scenario("insert-heavy-90/10", 90),
+		scenario("balanced-50/50", 50),
 	}
 }
 
 func dequeScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Deque[int]
-	}{
-		{"ChaseLev", func() cds.Deque[int] { return deque.NewChaseLev[int](1024) }},
-		{"MutexDeque", func() cds.Deque[int] { return deque.NewMutex[int]() }},
-		{"FCDeque", func() cds.Deque[int] { return deque.NewFC[int]() }},
-	}
 	// Worker 0 is the deque's owner (PushBottom/TryPopBottom are
 	// owner-only on Chase-Lev); every other worker is a thief driving
 	// TryPopTop. The two mixes vary how much the owner feeds the thieves.
-	mkScenario := func(name string, pushPct int) Scenario {
-		s := Scenario{Family: "deque", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				d := mk()
-				ops := cfg.ops(200000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					if w > 0 {
-						return func(int) { d.TryPopTop() }
+	scenario := func(name string, pushPct int) Scenario {
+		return Scenario{Family: "deque", Name: name, Algos: cells(pick(dequeImpls(), "ChaseLev", "MutexDeque", "FCDeque"), func(mk func() cds.Deque[int], cfg Config, th int) Result {
+			d := mk()
+			return RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+				if w > 0 {
+					return func(int) { d.TryPopTop() }
+				}
+				mix := NewMixGen(uint64(w)*43+3, pushPct, 100-pushPct)
+				return func(i int) {
+					if mix.Next() == 0 {
+						d.PushBottom(i)
+					} else {
+						d.TryPopBottom()
 					}
-					mix := NewMixGen(uint64(w)*43+3, pushPct, 100-pushPct)
-					return func(i int) {
-						if mix.Next() == 0 {
-							d.PushBottom(i)
-						} else {
-							d.TryPopBottom()
-						}
-					}
-				})
-			}})
-		}
-		return s
+				}
+			})
+		})}
 	}
 	return []Scenario{
-		mkScenario("owner-push-heavy-75/25", 75),
-		mkScenario("owner-balanced-50/50", 50),
+		scenario("owner-push-heavy-75/25", 75),
+		scenario("owner-balanced-50/50", 50),
 	}
 }
 
 func counterScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() cds.Counter
-	}{
-		{"Atomic", func() cds.Counter { return &counter.Atomic{} }},
-		{"Sharded", func() cds.Counter { return counter.NewSharded(0) }},
-		{"Approx", func() cds.Counter { return counter.NewApprox(0, 64) }},
-	}
-	mkScenario := func(name string, incPct int) Scenario {
-		s := Scenario{Family: "counter", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				c := mk()
-				ops := cfg.ops(300000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					if incPct == 100 {
-						return func(int) { c.Inc() }
+	scenario := func(name string, incPct int) Scenario {
+		return Scenario{Family: "counter", Name: name, Algos: cells(pick(counterImpls(), "Atomic", "Sharded", "Approx"), func(mk func() cds.Counter, cfg Config, th int) Result {
+			c := mk()
+			return RunLatency(th, cfg.ops(300000)/th+1, func(w int) func(int) {
+				if incPct == 100 {
+					return func(int) { c.Inc() }
+				}
+				mix := NewMixGen(uint64(w)*53+9, incPct, 100-incPct)
+				return func(int) {
+					if mix.Next() == 0 {
+						c.Inc()
+					} else {
+						c.Load()
 					}
-					mix := NewMixGen(uint64(w)*53+9, incPct, 100-incPct)
-					return func(int) {
-						if mix.Next() == 0 {
-							c.Inc()
-						} else {
-							c.Load()
-						}
-					}
-				})
-			}})
-		}
-		return s
+				}
+			})
+		})}
 	}
 	return []Scenario{
-		mkScenario("inc-only", 100),
-		mkScenario("inc90/load10", 90),
+		scenario("inc-only", 100),
+		scenario("inc90/load10", 90),
 	}
 }
 
 func stmScenarios() []Scenario {
-	mkScenario := func(name string, accounts int) Scenario {
-		s := Scenario{Family: "stm", Name: name}
-		s.Algos = append(s.Algos, ScenarioAlgo{Label: "STM", Run: func(cfg Config, th int) Result {
-			vars := make([]*stm.TVar[int], accounts)
-			for i := range vars {
-				vars[i] = stm.NewTVar(1000)
-			}
-			ops := cfg.ops(60000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 23)
-				return func(int) {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					if from == to {
-						to = (to + 1) % accounts
-					}
-					stm.Atomically(func(tx *stm.Txn) {
-						f := vars[from].Read(tx)
-						vars[from].Write(tx, f-1)
-						vars[to].Write(tx, vars[to].Read(tx)+1)
-					})
-				}
-			})
-		}})
-		s.Algos = append(s.Algos, ScenarioAlgo{Label: "GlobalLock", Run: func(cfg Config, th int) Result {
-			balances := make([]int, accounts)
-			var mu sync.Mutex
-			ops := cfg.ops(60000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				rng := xrand.New(uint64(w) + 23)
-				return func(int) {
-					from, to := rng.Intn(accounts), rng.Intn(accounts)
-					if from == to {
-						to = (to + 1) % accounts
-					}
-					mu.Lock()
-					balances[from]--
-					balances[to]++
-					mu.Unlock()
-				}
-			})
-		}})
-		return s
+	scenario := func(name string, accounts int) Scenario {
+		return Scenario{Family: "stm", Name: name, Algos: cells(bankImpls(accounts), bankCell(RunLatency, accounts, 60000))}
 	}
 	return []Scenario{
-		mkScenario("transfer-64-accounts", 64),
-		mkScenario("transfer-8k-accounts", 1<<13),
+		scenario("transfer-64-accounts", 64),
+		scenario("transfer-8k-accounts", 1<<13),
 	}
 }
 
 func barrierScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func(n int) []interface{ Wait() }
-	}{
-		{"Sense", func(n int) []interface{ Wait() } {
-			b := barrier.NewSense(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-		{"Tree", func(n int) []interface{ Wait() } {
-			b := barrier.NewTree(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-		{"Dissemination", func(n int) []interface{ Wait() } {
-			b := barrier.NewDissemination(n)
-			hs := make([]interface{ Wait() }, n)
-			for i := range hs {
-				hs[i] = b.Handle()
-			}
-			return hs
-		}},
-	}
 	// phaseWork sets how much local computation separates episodes: 0 is
 	// the pure synchronisation cost, larger values stagger the arrivals —
 	// the regime where tree/dissemination structure pays off because early
 	// arrivals overlap waiting with the stragglers' work.
-	mkScenario := func(name string, phaseWork int) Scenario {
-		s := Scenario{Family: "barrier", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				hs := mk(th)
-				episodes := cfg.ops(20000)
-				return RunLatency(th, episodes, func(w int) func(int) {
-					h := hs[w]
-					sink := uint64(w)
-					return func(int) {
-						for k := 0; k < phaseWork*(w+1)/th; k++ {
-							xrand.SplitMix64(&sink)
-						}
-						h.Wait()
+	scenario := func(name string, phaseWork int) Scenario {
+		return Scenario{Family: "barrier", Name: name, Algos: cells(barrierImpls(), func(mk func(n int) []waiter, cfg Config, th int) Result {
+			hs := mk(th)
+			return RunLatency(th, cfg.ops(20000), func(w int) func(int) {
+				h := hs[w]
+				sink := uint64(w)
+				return func(int) {
+					for k := 0; k < phaseWork*(w+1)/th; k++ {
+						xrand.SplitMix64(&sink)
 					}
-				})
-			}})
-		}
-		return s
+					h.Wait()
+				}
+			})
+		})}
 	}
 	return []Scenario{
-		mkScenario("back-to-back-episodes", 0),
-		mkScenario("staggered-arrival", 64),
+		scenario("back-to-back-episodes", 0),
+		scenario("staggered-arrival", 64),
 	}
 }
 
@@ -738,10 +856,14 @@ func delegatorGauges(s contend.DelegatorStats) map[string]float64 {
 	}
 }
 
-// combiningBackendSweep is the delegation-strategy axis of the S13 cells:
-// every combining-backed structure is measured over all three backends so
-// the flat-combining/CC-Synch/DSM-Synch comparison is direct per scenario.
-func combiningBackendSweep() []contend.Backend { return contend.Backends() }
+// withDelegatorGauges attaches the combining-backend gauges when the
+// structure is combining-backed.
+func withDelegatorGauges(res Result, s any) Result {
+	if d, ok := s.(interface{ Stats() contend.DelegatorStats }); ok {
+		res.Gauges = delegatorGauges(d.Stats())
+	}
+	return res
+}
 
 // contendScenarios showcases the contention-management layer: the
 // combining/elimination-backed variants under the high-contention symmetric
@@ -753,36 +875,10 @@ func combiningBackendSweep() []contend.Backend { return contend.Backends() }
 // combining-backed row is swept over the three delegation backends and
 // carries the backend gauges (batches, avg/max batch, handoffs).
 func contendScenarios() []Scenario {
-	queueSc := Scenario{Family: "contend", Name: "queue-symmetric-50/50-empty"}
-	type qimpl struct {
-		label  string
-		mk     func() cds.Queue[int]
-		gauges func(cds.Queue[int]) map[string]float64
-	}
-	qimpls := []qimpl{
-		{label: "MS", mk: func() cds.Queue[int] { return queue.NewMS[int]() }},
-		{label: "ElimMS", mk: func() cds.Queue[int] { return queue.NewElimination[int](0, 0) }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "FC"
-		if be != contend.BackendFlatCombining {
-			label = "FC/" + be.String()
-		}
-		qimpls = append(qimpls, qimpl{
-			label: label,
-			mk:    func() cds.Queue[int] { return fc.NewQueue[int](fc.WithBackend(be)) },
-			gauges: func(q cds.Queue[int]) map[string]float64 {
-				return delegatorGauges(q.(*fc.Queue[int]).Stats())
-			},
-		})
-	}
-	for _, im := range qimpls {
-		im := im
-		queueSc.Algos = append(queueSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			q := im.mk()
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
+	queueSc := Scenario{Family: "contend", Name: "queue-symmetric-50/50-empty",
+		Algos: cells(pick(queueImpls(), "MS", "ElimMS", "FC", "FC/CC-Synch", "FC/DSM-Synch"), func(mk func() cds.Queue[int], cfg Config, th int) Result {
+			q := mk()
+			return withDelegatorGauges(RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+13, 50, 50)
 				return func(i int) {
 					if mix.Next() == 0 {
@@ -791,48 +887,13 @@ func contendScenarios() []Scenario {
 						q.TryDequeue()
 					}
 				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(q)
-			}
-			return res
-		}})
-	}
+			}), q)
+		})}
 
-	pqSc := Scenario{Family: "contend", Name: "pqueue-symmetric-50/50"}
-	type pqimpl struct {
-		label  string
-		mk     func() cds.PriorityQueue[int]
-		gauges func(cds.PriorityQueue[int]) map[string]float64
-	}
-	pqimpls := []pqimpl{
-		{label: "LockedHeap", mk: func() cds.PriorityQueue[int] {
-			return pqueue.NewHeap[int](func(a, b int) bool { return a < b })
-		}},
-		{label: "SkipListPQ", mk: func() cds.PriorityQueue[int] { return pqueue.NewSkipList[int]() }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "FCHeap"
-		if be != contend.BackendFlatCombining {
-			label = "FCHeap/" + be.String()
-		}
-		pqimpls = append(pqimpls, pqimpl{
-			label: label,
-			mk: func() cds.PriorityQueue[int] {
-				return pqueue.NewFC[int](func(a, b int) bool { return a < b }, pqueue.WithBackend(be))
-			},
-			gauges: func(q cds.PriorityQueue[int]) map[string]float64 {
-				return delegatorGauges(q.(*pqueue.FC[int]).Stats())
-			},
-		})
-	}
-	for _, im := range pqimpls {
-		im := im
-		pqSc.Algos = append(pqSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			pq := im.mk()
-			ops := cfg.ops(60000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
+	pqSc := Scenario{Family: "contend", Name: "pqueue-symmetric-50/50",
+		Algos: cells(pqueueImpls(), func(mk func() cds.PriorityQueue[int], cfg Config, th int) Result {
+			pq := mk()
+			return withDelegatorGauges(RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+29, 50, 50)
 				rng := xrand.New(uint64(w) + 43)
 				return func(int) {
@@ -842,46 +903,16 @@ func contendScenarios() []Scenario {
 						pq.TryDeleteMin()
 					}
 				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(pq)
-			}
-			return res
-		}})
-	}
+			}), pq)
+		})}
 
 	// The deque cell drives both ends from every worker — the symmetric
 	// workload Chase-Lev's owner restriction rules out, so the combining
 	// deque is compared against the locked baseline.
-	dqSc := Scenario{Family: "contend", Name: "deque-symmetric-both-ends"}
-	type dqimpl struct {
-		label  string
-		mk     func() cds.Deque[int]
-		gauges func(cds.Deque[int]) map[string]float64
-	}
-	dqimpls := []dqimpl{
-		{label: "MutexDeque", mk: func() cds.Deque[int] { return deque.NewMutex[int]() }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "FCDeque"
-		if be != contend.BackendFlatCombining {
-			label = "FCDeque/" + be.String()
-		}
-		dqimpls = append(dqimpls, dqimpl{
-			label: label,
-			mk:    func() cds.Deque[int] { return deque.NewFC[int](deque.WithBackend(be)) },
-			gauges: func(d cds.Deque[int]) map[string]float64 {
-				return delegatorGauges(d.(*deque.FC[int]).Stats())
-			},
-		})
-	}
-	for _, im := range dqimpls {
-		im := im
-		dqSc.Algos = append(dqSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			d := im.mk()
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
+	dqSc := Scenario{Family: "contend", Name: "deque-symmetric-both-ends",
+		Algos: cells(pick(dequeImpls(), "MutexDeque", "FCDeque", "FCDeque/CC-Synch", "FCDeque/DSM-Synch"), func(mk func() cds.Deque[int], cfg Config, th int) Result {
+			d := mk()
+			return withDelegatorGauges(RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+31, 40, 30, 30)
 				return func(i int) {
 					switch mix.Next() {
@@ -893,46 +924,16 @@ func contendScenarios() []Scenario {
 						d.TryPopTop()
 					}
 				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(d)
-			}
-			return res
-		}})
-	}
+			}), d)
+		})}
 
 	// The counter cell is the smallest combining payload — pure delegation
 	// overhead, no structure work to hide it — so the three backends (and
 	// the atomic baseline) separate most cleanly here.
-	ctrSc := Scenario{Family: "contend", Name: "counter-inc-heavy-90/10"}
-	type cimpl struct {
-		label  string
-		mk     func() cds.Counter
-		gauges func(cds.Counter) map[string]float64
-	}
-	cimpls := []cimpl{
-		{label: "Atomic", mk: func() cds.Counter { return &counter.Atomic{} }},
-	}
-	for _, be := range combiningBackendSweep() {
-		be := be
-		label := "Combining"
-		if be != contend.BackendFlatCombining {
-			label = "Combining/" + be.String()
-		}
-		cimpls = append(cimpls, cimpl{
-			label: label,
-			mk:    func() cds.Counter { return counter.NewCombining(counter.WithBackend(be)) },
-			gauges: func(c cds.Counter) map[string]float64 {
-				return delegatorGauges(c.(*counter.Combining).Stats())
-			},
-		})
-	}
-	for _, im := range cimpls {
-		im := im
-		ctrSc.Algos = append(ctrSc.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			c := im.mk()
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
+	ctrSc := Scenario{Family: "contend", Name: "counter-inc-heavy-90/10",
+		Algos: cells(pick(counterImpls(), "Atomic", "Combining", "Combining/CC-Synch", "Combining/DSM-Synch"), func(mk func() cds.Counter, cfg Config, th int) Result {
+			c := mk()
+			return withDelegatorGauges(RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+37, 90, 10)
 				return func(int) {
 					if mix.Next() == 0 {
@@ -941,15 +942,122 @@ func contendScenarios() []Scenario {
 						c.Load()
 					}
 				}
-			})
-			if im.gauges != nil {
-				res.Gauges = im.gauges(c)
-			}
-			return res
-		}})
-	}
+			}), c)
+		})}
 
 	return []Scenario{queueSc, pqSc, dqSc, ctrSc}
+}
+
+// reclaimVariant is one scheme of the sweep F12 and the reclaim-structs
+// scenarios measure on every lock-free structure. A nil dom means the
+// structure's default GC path.
+type reclaimVariant struct {
+	dom     func() reclaim.Domain
+	recycle bool
+}
+
+// reclaimVariants is the scheme sweep: the zero-cost GC default, real EBR,
+// real HP, and EBR with node recycling ("Recycled").
+func reclaimVariants() []impl[reclaimVariant] {
+	return []impl[reclaimVariant]{
+		{"GC", reclaimVariant{}},
+		{"EBR", reclaimVariant{dom: func() reclaim.Domain { return reclaim.NewEBR() }}},
+		{"HP", reclaimVariant{dom: func() reclaim.Domain { return reclaim.NewHP() }}},
+		{"Recycled", reclaimVariant{dom: func() reclaim.Domain { return reclaim.NewEBR() }, recycle: true}},
+	}
+}
+
+// reclaimGauges snapshots the domain's end-of-run pending-garbage and
+// reclaimed counters (zero for the GC variant, which defers nothing).
+func reclaimGauges(dom reclaim.Domain) map[string]float64 {
+	g := map[string]float64{"pending_garbage": 0, "reclaimed": 0}
+	if dom != nil {
+		g["pending_garbage"] = float64(dom.Pending())
+		g["reclaimed"] = float64(dom.Reclaimed())
+	}
+	return g
+}
+
+// reclaimListChurn measures one Harris cell on the shared 40/40/20
+// add/remove/contains churn mix; both F12 and the S14 list scenario run
+// exactly this cell (different key ranges and op budgets), so a change to
+// the workload cannot diverge the two reports.
+func reclaimListChurn(v reclaimVariant, th, ops, keyRange int) Result {
+	var dom reclaim.Domain
+	var opts []list.Option
+	if v.dom != nil {
+		dom = v.dom()
+		opts = append(opts, list.WithReclaim(dom))
+		if v.recycle {
+			opts = append(opts, list.WithRecycling())
+		}
+	}
+	s := list.NewHarris[int](opts...)
+	prefillSet(s, keyRange, 99)
+	res := RunLatency(th, ops/th+1, func(w int) func(int) {
+		mix := NewMixGen(uint64(w)*31+7, 40, 40, 20)
+		rng := xrand.New(uint64(w)*2654435761 + 1)
+		return func(int) {
+			k := rng.Intn(keyRange)
+			switch mix.Next() {
+			case 0:
+				s.Add(k)
+			case 1:
+				s.Remove(k)
+			default:
+				s.Contains(k)
+			}
+		}
+	})
+	res.Gauges = reclaimGauges(dom)
+	return res
+}
+
+// reclaimMapChurn is the split-ordered counterpart of reclaimListChurn
+// (40/40/20 store/delete/load), likewise shared by F12 and S14.
+func reclaimMapChurn(v reclaimVariant, th, ops, keyRange int) Result {
+	var dom reclaim.Domain
+	var opts []cmap.Option
+	if v.dom != nil {
+		dom = v.dom()
+		opts = append(opts, cmap.WithReclaim(dom))
+		if v.recycle {
+			opts = append(opts, cmap.WithRecycling())
+		}
+	}
+	m := cmap.NewSplitOrdered[int, int](opts...)
+	prefillMap(m, keyRange)
+	res := RunLatency(th, ops/th+1, func(w int) func(int) {
+		mix := NewMixGen(uint64(w)*912367+5, 40, 40, 20)
+		rng := xrand.New(uint64(w)*104729 + 13)
+		return func(int) {
+			k := rng.Intn(keyRange)
+			switch mix.Next() {
+			case 0:
+				m.Store(k, 42)
+			case 1:
+				m.Delete(k)
+			default:
+				m.Load(k)
+			}
+		}
+	})
+	res.Gauges = reclaimGauges(dom)
+	return res
+}
+
+// lockFreeSkiplist builds the lock-free skip list under a variant (the
+// skip list has no recycling mode), prefilled with keyRange/2 keys.
+func lockFreeSkiplist(v reclaimVariant, keyRange int) (*skiplist.LockFree[int], reclaim.Domain) {
+	var dom reclaim.Domain
+	var opts []skiplist.Option
+	if v.dom != nil {
+		dom = v.dom()
+		opts = append(opts, skiplist.WithReclaim(dom))
+	}
+	s := skiplist.NewLockFree[int](opts...)
+	prefillSet(s, keyRange, 3)
+	return s, dom
 }
 
 // reclaimStructScenarios (experiment S14) measures the reclamation layer
@@ -962,52 +1070,28 @@ func contendScenarios() []Scenario {
 // and reclaimed gauges.
 func reclaimStructScenarios() []Scenario {
 	const keyRange = 256
-
-	listSc := Scenario{Family: "reclaim-structs", Name: "list-delete-heavy-40/40/20"}
-	for _, v := range reclaimVariantSweep() {
-		v := v
-		listSc.Algos = append(listSc.Algos, ScenarioAlgo{Label: "Harris/" + v.label, Run: func(cfg Config, th int) Result {
+	listSc := Scenario{Family: "reclaim-structs", Name: "list-delete-heavy-40/40/20",
+		Algos: cells(withPrefix("Harris/", reclaimVariants()), func(v reclaimVariant, cfg Config, th int) Result {
 			return reclaimListChurn(v, th, cfg.ops(60000), keyRange)
-		}})
-	}
-
-	mapSc := Scenario{Family: "reclaim-structs", Name: "map-delete-heavy-40/40/20"}
-	for _, v := range reclaimVariantSweep() {
-		v := v
-		mapSc.Algos = append(mapSc.Algos, ScenarioAlgo{Label: "SplitOrdered/" + v.label, Run: func(cfg Config, th int) Result {
+		})}
+	mapSc := Scenario{Family: "reclaim-structs", Name: "map-delete-heavy-40/40/20",
+		Algos: cells(withPrefix("SplitOrdered/", reclaimVariants()), func(v reclaimVariant, cfg Config, th int) Result {
 			return reclaimMapChurn(v, th, cfg.ops(60000), keyRange)
-		}})
-	}
+		})}
 
 	// Stalled-reader pressure: worker 0 holds a guard section open across
 	// stallBatch operations while the rest churn add/remove. EBR cannot
 	// advance the epoch past a pinned reader, so its pending gauge grows
 	// with the stall length; HP's stays bounded by the slot count.
 	const stallBatch = 2048
-	stallSc := Scenario{Family: "reclaim-structs", Name: "skiplist-stalled-reader-churn"}
-	for _, v := range reclaimVariantSweep() {
-		if v.recycle {
-			continue // the skip list has no recycling mode
-		}
-		v := v
-		stallSc.Algos = append(stallSc.Algos, ScenarioAlgo{Label: "LockFree/" + v.label, Run: func(cfg Config, th int) Result {
-			var dom reclaim.Domain
-			var opts []skiplist.Option
-			if v.dom != nil {
-				dom = v.dom()
-				opts = append(opts, skiplist.WithReclaim(dom))
-			}
-			s := skiplist.NewLockFree[int](opts...)
-			pre := xrand.New(3)
-			for i := 0; i < keyRange/2; i++ {
-				s.Add(pre.Intn(keyRange))
-			}
+	stallSc := Scenario{Family: "reclaim-structs", Name: "skiplist-stalled-reader-churn",
+		Algos: cells(withPrefix("LockFree/", pick(reclaimVariants(), "GC", "EBR", "HP")), func(v reclaimVariant, cfg Config, th int) Result {
+			s, dom := lockFreeSkiplist(v, keyRange)
 			var stall reclaim.Guard
 			if dom != nil {
 				stall = dom.NewGuard(1)
 			}
-			ops := cfg.ops(60000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
+			res := RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
 				if w == 0 {
 					// The stalled reader: reads inside a section it only
 					// leaves every stallBatch operations.
@@ -1045,8 +1129,7 @@ func reclaimStructScenarios() []Scenario {
 				stall.Release()
 			}
 			return res
-		}})
-	}
+		})}
 
 	return []Scenario{listSc, mapSc, stallSc}
 }
@@ -1104,48 +1187,27 @@ const dualOpTimeout = 100 * time.Microsecond
 // bursty production with consumer droughts (parks), and a symmetric
 // rendezvous mix with tight cancellation deadlines.
 func dualScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func(cap int) (cds.BlockingQueue[int], func() map[string]float64)
-	}{
-		{"DualMS", func(int) (cds.BlockingQueue[int], func() map[string]float64) {
-			q := dual.NewMSQueue[int]()
-			return q, func() map[string]float64 { return dualGauges(q.Stats()) }
-		}},
-		{"Sync", func(int) (cds.BlockingQueue[int], func() map[string]float64) {
-			q := dual.NewSync[int](0, 0)
-			return q, func() map[string]float64 { return dualGauges(q.Stats()) }
-		}},
-		{"Bounded", func(capacity int) (cds.BlockingQueue[int], func() map[string]float64) {
-			q := dual.NewBounded[int](capacity)
-			return q, func() map[string]float64 { return dualGauges(q.Stats()) }
-		}},
+	const capacity = 1024
+	impls := []impl[func() cds.BlockingQueue[int]]{
+		{"DualMS", func() cds.BlockingQueue[int] { return dual.NewMSQueue[int]() }},
+		{"Sync", func() cds.BlockingQueue[int] { return dual.NewSync[int](0, 0) }},
+		{"Bounded", func() cds.BlockingQueue[int] { return dual.NewBounded[int](capacity) }},
 		// Buffered channel: the baseline every Go blocking queue is
 		// implicitly compared against. No gauges — the runtime does not
 		// expose its park counts.
-		{"Channel", func(capacity int) (cds.BlockingQueue[int], func() map[string]float64) {
-			return chanBQ{ch: make(chan int, capacity)}, nil
-		}},
+		{"Channel", func() cds.BlockingQueue[int] { return chanBQ{ch: make(chan int, capacity)} }},
 	}
-	const capacity = 1024
-
-	mkScenario := func(name string, roles func(w int, q cds.BlockingQueue[int]) func(i int)) Scenario {
-		s := Scenario{Family: "dual", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				q, gauges := mk(capacity)
-				ops := cfg.ops(60000)
-				res := RunLatency(th, ops/th+1, func(w int) func(int) {
-					return roles(w, q)
-				})
-				if gauges != nil {
-					res.Gauges = gauges()
-				}
-				return res
-			}})
-		}
-		return s
+	scenario := func(name string, roles func(w int, q cds.BlockingQueue[int]) func(i int)) Scenario {
+		return Scenario{Family: "dual", Name: name, Algos: cells(impls, func(mk func() cds.BlockingQueue[int], cfg Config, th int) Result {
+			q := mk()
+			res := RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
+				return roles(w, q)
+			})
+			if d, ok := q.(interface{ Stats() dual.Stats }); ok {
+				res.Gauges = dualGauges(d.Stats())
+			}
+			return res
+		})}
 	}
 
 	put := func(q cds.BlockingQueue[int], v int) {
@@ -1164,7 +1226,7 @@ func dualScenarios() []Scenario {
 		// surplus, the bounded queue and channel exert backpressure
 		// (producer parks), the synchronous queue throttles producers to
 		// the consumer rate by construction.
-		mkScenario("producer-heavy-2:1", func(w int, q cds.BlockingQueue[int]) func(int) {
+		scenario("producer-heavy-2:1", func(w int, q cds.BlockingQueue[int]) func(int) {
 			// Worker 1, 4, 7, ... consume, the rest produce: at two
 			// threads the cell is a clean 1:1 pair, from four on it is
 			// producer-heavy.
@@ -1177,7 +1239,7 @@ func dualScenarios() []Scenario {
 		// alternate with equal droughts, so consumers oscillate between
 		// draining data and parking on reservations (the parks and
 		// cancelled gauges are the signal here).
-		mkScenario("burst-64-1p-consumers", func(w int, q cds.BlockingQueue[int]) func(int) {
+		scenario("burst-64-1p-consumers", func(w int, q cds.BlockingQueue[int]) func(int) {
 			if w == 0 {
 				return func(i int) {
 					if (i/64)%2 == 0 {
@@ -1193,7 +1255,7 @@ func dualScenarios() []Scenario {
 		// deadline: the rendezvous regime (and, at one thread, the
 		// degenerate all-cancellations cell that sizes the cancellation
 		// path itself).
-		mkScenario("rendezvous-50/50-cancel", func(w int, q cds.BlockingQueue[int]) func(int) {
+		scenario("rendezvous-50/50-cancel", func(w int, q cds.BlockingQueue[int]) func(int) {
 			mix := NewMixGen(uint64(w)*271+9, 50, 50)
 			return func(i int) {
 				if mix.Next() == 0 {
@@ -1207,41 +1269,28 @@ func dualScenarios() []Scenario {
 }
 
 func lockScenarios() []Scenario {
-	impls := []struct {
-		label string
-		mk    func() sync.Locker
-	}{
-		{"sync.Mutex", func() sync.Locker { return &sync.Mutex{} }},
-		{"Backoff", func() sync.Locker { return &locks.BackoffLock{} }},
-		{"Ticket", func() sync.Locker { return &locks.TicketLock{} }},
-	}
 	// csWork controls the critical-section length: 0 is the tiny
 	// increment-only section of F1, larger values emulate real protected
 	// work (~4ns per SplitMix64 round).
-	mkScenario := func(name string, csWork int) Scenario {
-		s := Scenario{Family: "locks", Name: name}
-		for _, im := range impls {
-			mk := im.mk
-			s.Algos = append(s.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-				l := mk()
-				shared := uint64(0)
-				ops := cfg.ops(100000)
-				return RunLatency(th, ops/th+1, func(w int) func(int) {
-					return func(int) {
-						l.Lock()
-						shared++
-						for k := 0; k < csWork; k++ {
-							xrand.SplitMix64(&shared)
-						}
-						l.Unlock()
+	scenario := func(name string, csWork int) Scenario {
+		return Scenario{Family: "locks", Name: name, Algos: cells(pick(lockImpls(), "sync.Mutex", "Backoff", "Ticket"), func(mk func() func() sync.Locker, cfg Config, th int) Result {
+			locker := mk()
+			shared := uint64(0)
+			return RunLatency(th, cfg.ops(100000)/th+1, func(int) func(int) {
+				l := locker()
+				return func(int) {
+					l.Lock()
+					shared++
+					for k := 0; k < csWork; k++ {
+						xrand.SplitMix64(&shared)
 					}
-				})
-			}})
-		}
-		return s
+					l.Unlock()
+				}
+			})
+		})}
 	}
 	return []Scenario{
-		mkScenario("tiny-critical-section", 0),
-		mkScenario("long-critical-section-~250ns", 64),
+		scenario("tiny-critical-section", 0),
+		scenario("long-critical-section-~250ns", 64),
 	}
 }

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 
 	"github.com/cds-suite/cds/queue"
 	"github.com/cds-suite/cds/reclaim"
@@ -149,6 +148,17 @@ func mpmcSegDriver() segDriver {
 	}
 }
 
+// segImpls is the segmented-queue family's table.
+func segImpls() []impl[func() segDriver] {
+	return []impl[func() segDriver]{
+		{"MS", msSegDriver},
+		{"LCRQ", func() segDriver { return lcrqSegDriver() }},
+		{"LCRQ/EBR-recycle", lcrqEBRSegDriver},
+		{"MPSC", mpscSegDriver},
+		{"MPMC-64k", mpmcSegDriver},
+	}
+}
+
 // runSegCell measures one (implementation, thread-count) cell: prefill,
 // drive the per-worker role closures with latency sampling, then attach
 // the conservation gauges.
@@ -172,59 +182,42 @@ func runSegCell(cfg Config, th, prefill int, mk func() segDriver,
 // injection-lane shape (many producers, one consumer) where the MPSC
 // specialization is legal.
 func segQueueScenarios() []Scenario {
-	type impl struct {
-		label string
-		mk    func() segDriver
-	}
-	common := []impl{
-		{"MS", msSegDriver},
-		{"LCRQ", func() segDriver { return lcrqSegDriver() }},
-		{"LCRQ/EBR-recycle", lcrqEBRSegDriver},
-		{"MPMC-64k", mpmcSegDriver},
-	}
+	common := pick(segImpls(), "MS", "LCRQ", "LCRQ/EBR-recycle", "MPMC-64k")
 
 	// hot-5050: prefilled symmetric mix — the common-case regime where the
 	// LCRQ's one-FAA fast path is the whole story.
-	hot := Scenario{Family: "queue-segmented", Name: "hot-5050"}
-	for _, im := range common {
-		mk := im.mk
-		hot.Algos = append(hot.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			return runSegCell(cfg, th, 1024, mk, func(w, _ int, d segDriver, c *segWorkerCounts) func(int) {
-				mix := NewMixGen(uint64(w)*7919+101, 50, 50)
-				return func(i int) {
-					if mix.Next() == 0 {
-						if d.enq(i) {
-							c.enq++
-						}
-					} else if d.deq() {
-						c.deq++
+	hot := Scenario{Family: "queue-segmented", Name: "hot-5050", Algos: cells(common, func(mk func() segDriver, cfg Config, th int) Result {
+		return runSegCell(cfg, th, 1024, mk, func(w, _ int, d segDriver, c *segWorkerCounts) func(int) {
+			mix := NewMixGen(uint64(w)*7919+101, 50, 50)
+			return func(i int) {
+				if mix.Next() == 0 {
+					if d.enq(i) {
+						c.enq++
 					}
+				} else if d.deq() {
+					c.deq++
 				}
-			})
-		}})
-	}
+			}
+		})
+	})}
 
 	// enq-burst-64-churn: alternating 64-op enqueue bursts and drain
 	// phases, starting empty. Bursts fill whole segments and the drains
 	// retire them, so this is the allocation/recycling regime: watch
 	// segs_allocated vs segs_reused across the LCRQ variants.
-	burst := Scenario{Family: "queue-segmented", Name: "enq-burst-64-churn"}
-	for _, im := range common {
-		mk := im.mk
-		burst.Algos = append(burst.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			return runSegCell(cfg, th, 0, mk, func(_, _ int, d segDriver, c *segWorkerCounts) func(int) {
-				return func(i int) {
-					if (i/64)%2 == 0 {
-						if d.enq(i) {
-							c.enq++
-						}
-					} else if d.deq() {
-						c.deq++
+	burst := Scenario{Family: "queue-segmented", Name: "enq-burst-64-churn", Algos: cells(common, func(mk func() segDriver, cfg Config, th int) Result {
+		return runSegCell(cfg, th, 0, mk, func(_, _ int, d segDriver, c *segWorkerCounts) func(int) {
+			return func(i int) {
+				if (i/64)%2 == 0 {
+					if d.enq(i) {
+						c.enq++
 					}
+				} else if d.deq() {
+					c.deq++
 				}
-			})
-		}})
-	}
+			}
+		})
+	})}
 
 	// pool-injection-1-consumer: workers 1..n produce, worker 0 is the
 	// sole consumer — the shape of the executor's injection lane. The
@@ -232,36 +225,32 @@ func segQueueScenarios() []Scenario {
 	// is the one cell that can price its skipped dequeue-side FAA/CAS
 	// against the full LCRQ. At one thread the cell degenerates to
 	// enqueue/dequeue pairs (still single-consumer).
-	inject := Scenario{Family: "queue-segmented", Name: "pool-injection-1-consumer"}
-	for _, im := range append(common[:3:3], impl{"MPSC", mpscSegDriver}, common[3]) {
-		mk := im.mk
-		inject.Algos = append(inject.Algos, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			return runSegCell(cfg, th, 0, mk, func(w, th int, d segDriver, c *segWorkerCounts) func(int) {
-				if th == 1 {
-					return func(i int) {
-						if d.enq(i) {
-							c.enq++
-						}
-						if d.deq() {
-							c.deq++
-						}
-					}
-				}
-				if w == 0 {
-					return func(int) {
-						if d.deq() {
-							c.deq++
-						}
-					}
-				}
+	inject := Scenario{Family: "queue-segmented", Name: "pool-injection-1-consumer", Algos: cells(segImpls(), func(mk func() segDriver, cfg Config, th int) Result {
+		return runSegCell(cfg, th, 0, mk, func(w, th int, d segDriver, c *segWorkerCounts) func(int) {
+			if th == 1 {
 				return func(i int) {
 					if d.enq(i) {
 						c.enq++
 					}
+					if d.deq() {
+						c.deq++
+					}
 				}
-			})
-		}})
-	}
+			}
+			if w == 0 {
+				return func(int) {
+					if d.deq() {
+						c.deq++
+					}
+				}
+			}
+			return func(i int) {
+				if d.enq(i) {
+					c.enq++
+				}
+			}
+		})
+	})}
 
 	return []Scenario{hot, burst, inject}
 }
@@ -273,99 +262,75 @@ func segQueueScenarios() []Scenario {
 // prefill, op budget, and mix seeds) so the new rows are comparable with
 // the incumbent ones.
 func segQueueS2Algos() (mixed, split []ScenarioAlgo) {
-	type gauged struct {
-		label string
-		mk    func() segDriver
-	}
-	impls := []gauged{
-		{"LCRQ", func() segDriver { return lcrqSegDriver() }},
-		{"MPMC-64k", mpmcSegDriver},
-	}
-	for _, im := range impls {
-		mk := im.mk
-		mixed = append(mixed, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			d := mk()
-			for i := 0; i < 1024; i++ {
-				d.enq(i)
-			}
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*7919+1, 70, 30)
-				return func(i int) {
-					if mix.Next() == 0 {
-						d.enq(i)
-					} else {
-						d.deq()
-					}
+	impls := pick(segImpls(), "LCRQ", "MPMC-64k")
+	mixed = cells(impls, func(mk func() segDriver, cfg Config, th int) Result {
+		d := mk()
+		for i := 0; i < 1024; i++ {
+			d.enq(i)
+		}
+		res := RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			mix := NewMixGen(uint64(w)*7919+1, 70, 30)
+			return func(i int) {
+				if mix.Next() == 0 {
+					d.enq(i)
+				} else {
+					d.deq()
 				}
-			})
-			res.Gauges = d.gauges()
-			return res
-		}})
-		split = append(split, ScenarioAlgo{Label: im.label, Run: func(cfg Config, th int) Result {
-			d := mk()
-			for i := 0; i < 1024; i++ {
-				d.enq(i)
 			}
-			ops := cfg.ops(200000)
-			res := RunLatency(th, ops/th+1, func(w int) func(int) {
-				if w%2 == 0 {
-					return func(i int) { d.enq(i) }
-				}
-				return func(int) { d.deq() }
-			})
-			res.Gauges = d.gauges()
-			return res
-		}})
-	}
+		})
+		res.Gauges = d.gauges()
+		return res
+	})
+	split = cells(impls, func(mk func() segDriver, cfg Config, th int) Result {
+		d := mk()
+		for i := 0; i < 1024; i++ {
+			d.enq(i)
+		}
+		res := RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			if w%2 == 0 {
+				return func(i int) { d.enq(i) }
+			}
+			return func(int) { d.deq() }
+		})
+		res.Gauges = d.gauges()
+		return res
+	})
 	return mixed, split
 }
 
-// runA5 sweeps the LCRQ's segment size on the symmetric 50/50 mix, with
+// ablationA5 sweeps the LCRQ's segment size on the symmetric 50/50 mix, with
 // queue.MS and the 64k MPMC ring re-measured at every X as flat baselines
 // (neither takes a segment-size parameter; re-measuring keeps their noise
 // floor honest rather than drawing a single stale line). The sweep brackets
 // the default: 64 retires segments fast enough to stress the reclaim path,
 // 1024 amortises allocation hardest but strands more slots on residual
 // queues.
-func runA5(cfg Config) []Figure {
-	ops := cfg.ops(200000)
-	th := runtime.GOMAXPROCS(0)
-	fig := Figure{
-		ID:     "A5",
-		Family: "queue-segmented",
-		Title:  fmt.Sprintf("LCRQ segment-size sweep at %d threads, 50/50 enq-deq (MS and MPMC-64k as baselines)", th),
-		XLabel: "segsize",
-	}
-	impls := []struct {
-		label string
-		mk    func(segSize int) segDriver
-	}{
-		{"MS", func(int) segDriver { return msSegDriver() }},
-		{"LCRQ", func(segSize int) segDriver { return lcrqSegDriver(queue.WithSegmentSize(segSize)) }},
-		{"MPMC-64k", func(int) segDriver { return mpmcSegDriver() }},
-	}
-	for _, im := range impls {
-		var s Series
-		s.Label = im.label
-		for _, segSize := range []int{64, 256, 1024} {
-			d := im.mk(segSize)
-			for i := 0; i < 1024; i++ {
-				d.enq(i)
-			}
-			res := Run(th, ops/th+1, func(w int) func(int) {
-				mix := NewMixGen(uint64(w)*7919+101, 50, 50)
-				return func(i int) {
-					if mix.Next() == 0 {
-						d.enq(i)
-					} else {
-						d.deq()
-					}
-				}
-			})
-			s.Points = append(s.Points, Point{X: segSize, Mops: res.Throughput()})
+func ablationA5(th int) Experiment {
+	run := func(d segDriver, cfg Config) Result {
+		for i := 0; i < 1024; i++ {
+			d.enq(i)
 		}
-		fig.Series = append(fig.Series, s)
+		return Run(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			mix := NewMixGen(uint64(w)*7919+101, 50, 50)
+			return func(i int) {
+				if mix.Next() == 0 {
+					d.enq(i)
+				} else {
+					d.deq()
+				}
+			}
+		})
 	}
-	return []Figure{fig}
+	algos := cells(pick(segImpls(), "MS", "MPMC-64k"), func(mk func() segDriver, cfg Config, _ int) Result {
+		return run(mk(), cfg)
+	})
+	algos = append(algos, ScenarioAlgo{Label: "LCRQ", Run: func(cfg Config, segSize int) Result {
+		return run(lcrqSegDriver(queue.WithSegmentSize(segSize)), cfg)
+	}})
+	return Experiment{ID: "A5", Title: "Ablation: LCRQ segment size vs MS/MPMC baselines (X = segment size)", XLabel: "segsize", Scenarios: []Scenario{{
+		Family: "queue-segmented",
+		Name:   fmt.Sprintf("A5: LCRQ segment-size sweep at %d threads, 50/50 enq-deq (MS and MPMC-64k as baselines)", th),
+		Xs:     []int{64, 256, 1024},
+		Algos:  algos,
+	}}}
 }

@@ -741,8 +741,10 @@ func (s *shard[K, V]) sweepBatch(now int64) {
 			removed++
 		}
 	}
-	s.mu.Unlock()
+	// Count under the lock: a reader that sees the entries gone must
+	// also see them counted as expired.
 	s.stats.expired.Add(removed)
+	s.mu.Unlock()
 }
 
 // Close stops the background sweeper, if one ever started, and waits for

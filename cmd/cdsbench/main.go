@@ -1,10 +1,10 @@
-// Command cdsbench regenerates the experiment figures and tables from
-// DESIGN.md — throughput-scalability series for every structure family
-// (F1–F12, T1–T3) plus the mixed-workload scenario matrix with latency
+// Command cdsbench regenerates the suite's figures and tables (`-list`
+// names them all) — throughput-scalability series for every structure
+// family (F1–F12, T1–T3), the mixed-workload scenario matrix with latency
 // percentiles (S1–S18, including the S14 reclamation, S15 blocking, S16
 // executor, S17 cache, and S18 segmented-queue families whose records
-// carry structure gauges) — as aligned text tables or as a machine-readable
-// JSON report.
+// carry structure gauges), and the design-parameter ablations (A1–A5) —
+// as aligned text tables or as a machine-readable JSON report.
 //
 // Usage:
 //
@@ -114,11 +114,8 @@ func run(args []string) error {
 		return rep.WriteJSON(w)
 	}
 	for _, e := range selected {
-		fmt.Fprintf(w, "# %s — %s\n", e.ID, e.Title)
-		for _, fig := range e.Run(cfg) {
-			if err := fig.Render(w); err != nil {
-				return err
-			}
+		if err := e.Render(w, e.Records(cfg)); err != nil {
+			return err
 		}
 	}
 	return nil

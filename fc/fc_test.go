@@ -11,7 +11,7 @@ import (
 
 func TestCombinerAppliesAll(t *testing.T) {
 	type counter struct{ n int }
-	c := NewCombiner(&counter{})
+	c := contend.NewCombiner(&counter{})
 	workers := 2 * runtime.GOMAXPROCS(0)
 	const perWorker = 5000
 	var wg sync.WaitGroup
@@ -34,7 +34,7 @@ func TestCombinerAppliesAll(t *testing.T) {
 
 func TestCombinerResultsVisible(t *testing.T) {
 	type box struct{ v int }
-	c := NewCombiner(&box{v: 7})
+	c := contend.NewCombiner(&box{v: 7})
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -56,7 +56,7 @@ func TestCombinerResultsVisible(t *testing.T) {
 func TestCombinerSubmissionOrderPerThread(t *testing.T) {
 	// Operations submitted by one goroutine apply in program order.
 	type log struct{ seen []int }
-	c := NewCombiner(&log{})
+	c := contend.NewCombiner(&log{})
 	var wg sync.WaitGroup
 	workers := 4
 	const per = 2000

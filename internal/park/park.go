@@ -87,7 +87,10 @@ type Lot struct {
 
 // Enroll registers p as a waiter. The caller must re-check its condition
 // after enrolling and before parking: a waker that ran before enrolment
-// has not seen p.
+// has not seen p. The re-check must never fail spuriously: it may report
+// "not ready" only when the condition really is false (a CAS lost to a
+// concurrent taker is retried, not read as "empty"), because a waiter
+// that parks on a false negative may have no waker left.
 func (l *Lot) Enroll(p *Permit) {
 	l.mu.Lock()
 	l.ws = append(l.ws, p)

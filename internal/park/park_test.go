@@ -113,14 +113,29 @@ func TestLotNoLostWakeupUnderChurn(t *testing.T) {
 		workers = 8
 		rounds  = 200
 	)
+	// tryTake is the condition check. It retries a lost CAS until the
+	// bucket reads empty: a single attempt could report "empty" while
+	// tokens remain, and a waiter that parks on that spurious failure
+	// after enrolling may be left with no waker (see Lot.Enroll).
+	tryTake := func() bool {
+		for {
+			n := bucket.Load()
+			if n <= 0 {
+				return false
+			}
+			if bucket.CompareAndSwap(n, n-1) {
+				return true
+			}
+		}
+	}
 	take := func(ctx context.Context) bool {
 		for {
-			if n := bucket.Load(); n > 0 && bucket.CompareAndSwap(n, n-1) {
+			if tryTake() {
 				return true
 			}
 			p := New()
 			l.Enroll(p)
-			if n := bucket.Load(); n > 0 && bucket.CompareAndSwap(n, n-1) {
+			if tryTake() {
 				if !l.Withdraw(p) {
 					l.WakeOne() // consumed an item and a wakeup: pass it on
 				}
