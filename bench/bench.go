@@ -2,6 +2,7 @@ package bench
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"runtime"
@@ -28,10 +29,51 @@ type Result struct {
 	// cells' pending_garbage and reclaimed counts); nil when the cell has
 	// none.
 	Gauges map[string]float64
+	// Err reports the conservation laws the cell's gauges broke; nil when
+	// every law held. Scenario.Run fails on it, naming the cell.
+	Err error
 	// Metrics, when set, replace the throughput record: the run yields
 	// one record per metric, labelled by it. The elimination cells report
 	// their hit rate this way, and A1/A2 the throughput beside it.
 	Metrics []Metric
+}
+
+// gauger is the shape of every counter source a cell reports —
+// cache.Cache, pool.Stats, queue.SegStats, queue.MPMCStats,
+// contend.DelegatorStats, dual.Stats, the reclaim domains, and the
+// harness's own tallies: it emits its gauges under their report keys and
+// returns an error when a law it declares is broken.
+type gauger interface {
+	Gauges(emit func(name string, v float64)) error
+}
+
+// gaugers reads several sources as one.
+type gaugers []gauger
+
+func (gs gaugers) Gauges(emit func(name string, v float64)) error {
+	var err error
+	for _, g := range gs {
+		err = errors.Join(err, g.Gauges(emit))
+	}
+	return err
+}
+
+// gauge records the sources' gauges on the result (a later source's key
+// overrides an earlier one's) and joins every broken law into r.Err.
+func (r *Result) gauge(srcs ...gauger) {
+	if r.Gauges == nil {
+		r.Gauges = map[string]float64{}
+	}
+	r.Err = errors.Join(r.Err, gaugers(srcs).Gauges(func(k string, v float64) { r.Gauges[k] = v }))
+}
+
+// withStats gauges s's Stats snapshot when s has one of type S (the
+// combining-backed and dual rows); other rows carry no gauges.
+func withStats[S gauger](res Result, s any) Result {
+	if st, ok := s.(interface{ Stats() S }); ok {
+		res.gauge(st.Stats())
+	}
+	return res
 }
 
 // Metric is a headline value a cell reports in place of its throughput.

@@ -20,13 +20,14 @@ import (
 // nothing bounds the footprint — it never evicts). Every record carries
 // the accounting gauges: hits + misses == lookups holds for every cell by
 // construction (the harness counts them per worker), hit_rate is the
-// quality axis to read alongside the throughput axis, and evictions /
-// expired / loads / stampede_suppressed expose what the cache did
-// internally to sustain it. The stampede cell drives GetOrLoad on cold
-// keys from all workers at once: singleflight keeps origin loads at ≈ one
-// per distinct key and counts every suppressed duplicate, while the
-// sync.Map baseline's naive get-then-load pays one origin call per racing
-// worker.
+// quality axis to read alongside the throughput axis, and the rest of
+// cache.Cache's gauges (evictions, expired, loads, stampede_suppressed,
+// weights, admission) exposes what the cache did internally to sustain it, its
+// declared laws checked after every cell. The stampede cell drives
+// GetOrLoad on cold keys from all workers at once: singleflight keeps
+// origin loads at ≈ one per distinct key and counts every suppressed
+// duplicate, while the sync.Map baseline's naive get-then-load pays one
+// origin call per racing worker.
 
 const (
 	cacheCap      = 4096
@@ -40,14 +41,16 @@ type cacheBackend interface {
 	get(k uint64) (uint64, bool)
 	set(k, v uint64)
 	getOrLoad(k uint64, load func(uint64) uint64) uint64
-	// gauges reports the backend-internal counters (evictions, expired,
-	// loads, stampede_suppressed); the harness adds hits/misses/lookups.
-	gauges() map[string]float64
+	// gauger reports the backend's own counters in cache.Cache's shape;
+	// the cells record the harness's hits/misses/lookups/hit_rate after
+	// it, replacing the backend's.
+	gauger
 	close()
 }
 
-// cdsCache adapts cache.Cache to the backend interface.
-type cdsCache struct{ c *cache.Cache[uint64, uint64] }
+// cdsCache adapts cache.Cache to the backend interface; the cache's own
+// Gauges is promoted.
+type cdsCache struct{ *cache.Cache[uint64, uint64] }
 
 func newCDSCache(p cache.Policy, shards int, extra ...cache.Option) cacheBackend {
 	opts := []cache.Option{cache.WithPolicy(p), cache.WithTTL(cacheTTL)}
@@ -58,31 +61,17 @@ func newCDSCache(p cache.Policy, shards int, extra ...cache.Option) cacheBackend
 	return cdsCache{cache.New[uint64, uint64](cacheCap, opts...)}
 }
 
-func (b cdsCache) get(k uint64) (uint64, bool) { return b.c.Get(k) }
-func (b cdsCache) set(k, v uint64)             { b.c.Set(k, v) }
+func (b cdsCache) get(k uint64) (uint64, bool) { return b.Get(k) }
+func (b cdsCache) set(k, v uint64)             { b.Set(k, v) }
 
 func (b cdsCache) getOrLoad(k uint64, load func(uint64) uint64) uint64 {
-	v, _ := b.c.GetOrLoad(context.Background(), k, func(_ context.Context, k uint64) (uint64, error) {
+	v, _ := b.GetOrLoad(context.Background(), k, func(_ context.Context, k uint64) (uint64, error) {
 		return load(k), nil
 	})
 	return v
 }
 
-func (b cdsCache) gauges() map[string]float64 {
-	st := b.c.Stats()
-	return map[string]float64{
-		"evictions":           float64(st.Evictions),
-		"expired":             float64(st.Expired),
-		"loads":               float64(st.Loads),
-		"stampede_suppressed": float64(st.StampedeSuppressed),
-		"weight_resident":     float64(st.WeightResident),
-		"max_weight":          float64(b.c.MaxWeight()),
-		"admission_rejects":   float64(st.AdmissionRejects),
-		"evict_considered":    float64(st.EvictConsidered),
-	}
-}
-
-func (b cdsCache) close() { b.c.Close() }
+func (b cdsCache) close() { b.Close() }
 
 // syncMapTTL is the "just use sync.Map" baseline: entries carry an expiry
 // deadline checked (and lazily deleted) on read, loads are naive
@@ -128,17 +117,11 @@ func (b *syncMapTTL) getOrLoad(k uint64, load func(uint64) uint64) uint64 {
 	return v
 }
 
-func (b *syncMapTTL) gauges() map[string]float64 {
-	return map[string]float64{
-		"evictions":           0,
-		"expired":             float64(b.expired.Load()),
-		"loads":               float64(b.loads.Load()),
-		"stampede_suppressed": 0,
-		"weight_resident":     0,
-		"max_weight":          0,
-		"admission_rejects":   0,
-		"evict_considered":    0,
-	}
+// Gauges reports the baseline's counters as a cache.Stats; nothing bounds
+// it, so its weight budget is 0.
+func (b *syncMapTTL) Gauges(emit func(name string, v float64)) error {
+	emit("max_weight", 0)
+	return cache.Stats{Expired: b.expired.Load(), Loads: b.loads.Load()}.Gauges(emit)
 }
 
 func (b *syncMapTTL) close() {}
@@ -150,18 +133,15 @@ type cacheCounters struct {
 	hits, misses atomic.Int64
 }
 
-func (c *cacheCounters) gauges(backend cacheBackend) map[string]float64 {
-	g := backend.gauges()
-	h, m := float64(c.hits.Load()), float64(c.misses.Load())
-	g["hits"] = h
-	g["misses"] = m
-	g["lookups"] = h + m
-	if h+m > 0 {
-		g["hit_rate"] = h / (h + m)
-	} else {
-		g["hit_rate"] = 0
-	}
-	return g
+// Gauges emits the harness's hits, misses, lookups and hit_rate through
+// the same derivation cache.Stats uses.
+func (c *cacheCounters) Gauges(emit func(name string, v float64)) error {
+	st := cache.Stats{Hits: c.hits.Load(), Misses: c.misses.Load()}
+	emit("hits", float64(st.Hits))
+	emit("misses", float64(st.Misses))
+	emit("lookups", float64(st.Lookups()))
+	emit("hit_rate", st.HitRate())
+	return nil
 }
 
 // runCacheMix measures a getPct/setPct mix over Zipf(0.99) keys. The hot
@@ -203,7 +183,7 @@ func runCacheMix(mk func() cacheBackend, cfg Config, th, getPct, setPct int) Res
 			}
 		}
 	})
-	res.Gauges = ctr.gauges(b)
+	res.gauge(b, &ctr)
 	return res
 }
 
@@ -250,7 +230,7 @@ func runCacheStampede(mk func() cacheBackend, cfg Config, th int) Result {
 			}
 		}
 	})
-	res.Gauges = ctr.gauges(b)
+	res.gauge(b, &ctr)
 	res.Gauges["distinct_cold_keys"] = float64((ops + repeats - 1) / repeats)
 	return res
 }
@@ -311,7 +291,7 @@ func runCacheLoopy(mk func() cacheBackend, cfg Config, th int) Result {
 			}
 		}
 	})
-	res.Gauges = ctr.gauges(b)
+	res.gauge(b, &ctr)
 	return res
 }
 

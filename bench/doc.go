@@ -58,14 +58,21 @@
 //	  }
 //	}
 //
-// Two scenario families report gauges today: the reclamation cells (F12
-// and the S14 reclaim-structs scenarios) carry pending_garbage/reclaimed,
-// and the S15 dual (blocking-queue) cells carry the waiter-management
-// counters reservations/fulfilled/parks/cancelled/handoffs (see
-// dual.Stats; the channel baseline carries none). Blocking cells bound
-// every operation with a cancellation deadline, so their latency
-// percentiles include parked time — wait behaviour is the measurement,
-// not a distortion of it.
+// Gauges come from the structures' own counter snapshots, each read
+// through one method, Gauges(emit func(name string, v float64)) error:
+// reclaim domains (F12, S14 reclaim-structs; pending_garbage/reclaimed),
+// contend.DelegatorStats (S13 combining-backed rows), dual.Stats (S15),
+// pool.Stats (S16 WorkStealing), cache.Cache (S17) and
+// queue.SegStats/queue.MPMCStats (S18, S2). The harness adds what it
+// counts itself: S17's hits/misses/lookups/hit_rate and
+// distinct_cold_keys, S18's enqueues/dequeues/residual. Each snapshot
+// declares its conservation laws in its doc comment and Gauges checks
+// them; after every cell a broken law fails the run with an error naming
+// the cell and the law, so every report on disk has passed them. Rows
+// without counters (baselines such as the S15/S16 channels) carry no
+// gauges. Blocking cells bound every operation with a cancellation
+// deadline, so their latency percentiles include parked time — wait
+// behaviour is the measurement, not a distortion of it.
 //
 // Records are append-only across schema versions: consumers must ignore
 // unknown fields, and field removals or meaning changes bump the schema

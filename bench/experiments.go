@@ -64,13 +64,18 @@ type Experiment struct {
 	Scenarios []Scenario
 }
 
-// Records measures every cell of the experiment.
-func (e Experiment) Records(cfg Config) []Record {
+// Records measures every cell of the experiment, failing on the first
+// cell whose gauges break a declared law.
+func (e Experiment) Records(cfg Config) ([]Record, error) {
 	var recs []Record
 	for _, s := range e.Scenarios {
-		recs = append(recs, s.Run(cfg)...)
+		r, err := s.Run(cfg)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
+		}
+		recs = append(recs, r...)
 	}
-	return recs
+	return recs, nil
 }
 
 // Experiments returns the full suite: the survey's figures (F) and tables
@@ -194,14 +199,19 @@ func ScenarioExperiments() []Experiment {
 }
 
 // BuildReport runs the given experiments (as selected by cmd/cdsbench)
-// and assembles their records into a Report.
-func BuildReport(cfg Config, exps []Experiment) Report {
+// and assembles their records into a Report, failing on the first cell
+// whose gauges break a declared law.
+func BuildReport(cfg Config, exps []Experiment) (Report, error) {
 	rep := Report{Schema: ReportSchema, Meta: NewMeta(cfg.Quick)}
 	rep.Summary = RunSummary(rep.Meta)
 	for _, e := range exps {
-		rep.Records = append(rep.Records, e.Records(cfg)...)
+		recs, err := e.Records(cfg)
+		if err != nil {
+			return Report{}, err
+		}
+		rep.Records = append(rep.Records, recs...)
 	}
-	return rep
+	return rep, nil
 }
 
 // Find returns the experiment with the given ID, searching the main suite
@@ -442,7 +452,7 @@ func f12() []Scenario {
 }
 
 func f12Stack(v reclaimVariant, cfg Config, th int) Result {
-	var dom reclaim.Domain
+	dom := reclaim.NewGC() // the structure's default when no option is given
 	var opts []stack.Option
 	if v.dom != nil {
 		dom = v.dom()
@@ -463,12 +473,12 @@ func f12Stack(v reclaimVariant, cfg Config, th int) Result {
 			}
 		}
 	})
-	res.Gauges = reclaimGauges(dom)
+	res.gauge(dom)
 	return res
 }
 
 func f12Queue(v reclaimVariant, cfg Config, th int) Result {
-	var dom reclaim.Domain
+	dom := reclaim.NewGC() // the structure's default when no option is given
 	var opts []queue.Option
 	if v.dom != nil {
 		dom = v.dom()
@@ -489,7 +499,7 @@ func f12Queue(v reclaimVariant, cfg Config, th int) Result {
 			}
 		}
 	})
-	res.Gauges = reclaimGauges(dom)
+	res.gauge(dom)
 	return res
 }
 
@@ -511,7 +521,7 @@ func f12Skiplist(v reclaimVariant, cfg Config, th int) Result {
 			}
 		}
 	})
-	res.Gauges = reclaimGauges(dom)
+	res.gauge(dom)
 	return res
 }
 

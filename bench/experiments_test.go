@@ -16,7 +16,10 @@ func TestExperimentsSmoke(t *testing.T) {
 }
 
 func checkExperiment(t *testing.T, e Experiment, cfg Config) {
-	recs := e.Records(cfg)
+	recs, err := e.Records(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(recs) == 0 {
 		t.Fatalf("%s produced no records", e.ID)
 	}
@@ -118,7 +121,10 @@ func TestDefaultThreadSweep(t *testing.T) {
 // replacement for the old synthetic single-pointer microbench.
 func TestF12PerStructureVariants(t *testing.T) {
 	f12, _ := Find("F12")
-	recs := f12.Records(Config{Quick: true, Threads: []int{1}, Ops: 1500})
+	recs, err := f12.Records(Config{Quick: true, Threads: []int{1}, Ops: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := map[string]bool{}
 	for _, structure := range []string{"Treiber", "MS", "Harris", "SplitOrdered"} {
 		for _, v := range []string{"GC", "EBR", "HP", "Recycled"} {

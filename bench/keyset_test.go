@@ -20,7 +20,10 @@ import (
 func TestRecordKeySetGolden(t *testing.T) {
 	// T2, F9 and A1-A5 put GOMAXPROCS into their titles or sweeps.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	rep := BuildReport(Config{Ops: 1, Threads: []int{1, 2}}, append(Experiments(), Ablations()...))
+	rep, err := BuildReport(Config{Ops: 1, Threads: []int{1, 2}}, append(Experiments(), Ablations()...))
+	if err != nil {
+		t.Fatal(err)
+	}
 	lines := make([]string, 0, len(rep.Records))
 	seen := map[string]bool{}
 	for _, r := range rep.Records {

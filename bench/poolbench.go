@@ -95,19 +95,14 @@ func runPoolWS(th int, wl poolWorkload) Result {
 	_ = p.Shutdown(context.Background())
 	elapsed := time.Since(t0)
 	st := p.Stats()
-	return Result{
+	res := Result{
 		Workers: th,
 		Ops:     int64(st.Executed()),
 		Elapsed: elapsed,
 		Latency: mergeHists(hists),
-		Gauges: map[string]float64{
-			"steals":      float64(st.Steals),
-			"local_hits":  float64(st.LocalHits),
-			"inject_hits": float64(st.InjectHits),
-			"parks":       float64(st.Parks),
-			"executed":    float64(st.Executed()),
-		},
 	}
+	res.gauge(st)
+	return res
 }
 
 // poolHists allocates one sojourn histogram per worker; mergeHists folds

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -152,17 +155,45 @@ func TestBuildReport(t *testing.T) {
 			return Result{Workers: 1, Ops: 10, Elapsed: time.Microsecond}
 		}}},
 	}}}}
-	rep := BuildReport(Config{Quick: true}, exps)
+	rep, err := BuildReport(Config{Quick: true}, exps)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rep.Schema != ReportSchema {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
 	if rep.Meta.GoVersion == "" || rep.Meta.GOMAXPROCS == 0 || !rep.Meta.Quick {
 		t.Fatalf("meta not captured: %+v", rep.Meta)
 	}
+	if want := fmt.Sprintf("num_cpu=%d ", runtime.NumCPU()); !strings.Contains(rep.Summary, want) {
+		t.Fatalf("summary missing %q: %s", want, rep.Summary)
+	}
 	if len(rep.Records) != 1 {
 		t.Fatalf("got %d records, want 1", len(rep.Records))
 	}
 	if r := rep.Records[0]; r.Family != "queue" || r.Algo != "MS" || r.Scenario != "m" || r.Threads != 1 || r.Ops != 10 {
 		t.Fatalf("record wrong: %+v", r)
+	}
+}
+
+// TestBrokenLawFailsCell: a cell whose gauges break a declared law fails
+// the run, and the error names the experiment, the cell and the law.
+func TestBrokenLawFailsCell(t *testing.T) {
+	exps := []Experiment{{ID: "X1", Title: "synthetic", Scenarios: []Scenario{{
+		Family: "queue-segmented", Name: "m", Xs: []int{1, 2},
+		Algos: []ScenarioAlgo{{Label: "LCRQ", Run: func(_ Config, x int) Result {
+			res := Result{Workers: 1, Ops: 10, Elapsed: time.Microsecond}
+			res.gauge(segTally{enq: 5, deq: 3, residual: 2 - int64(x-1)})
+			return res
+		}}},
+	}}}}
+	_, err := BuildReport(Config{Quick: true}, exps)
+	if err == nil {
+		t.Fatal("BuildReport accepted a cell whose gauges broke a law")
+	}
+	for _, want := range []string{"X1", `queue-segmented "m" LCRQ x=2`, "enqueues == dequeues + residual"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

@@ -132,12 +132,16 @@ func (s Scenario) Sweep(cfg Config) []int {
 
 // Run measures the scenario across its sweep, returning the records of
 // every (algorithm, sweep value) cell: one each, or one per metric for
-// cells that report Metrics.
-func (s Scenario) Run(cfg Config) []Record {
+// cells that report Metrics. It stops at the first cell whose gauges
+// break a declared law, with an error naming the cell and the law.
+func (s Scenario) Run(cfg Config) ([]Record, error) {
 	var recs []Record
 	for _, a := range s.Algos {
 		for _, x := range s.Sweep(cfg) {
 			res := a.Run(cfg, x)
+			if res.Err != nil {
+				return nil, fmt.Errorf("cell %s %q %s x=%d: %w", s.Family, s.Name, a.Label, x, res.Err)
+			}
 			rec := res.Record(s.Family, a.Label, s.Name)
 			rec.Threads = x
 			if len(res.Metrics) == 0 {
@@ -149,7 +153,7 @@ func (s Scenario) Run(cfg Config) []Record {
 			}
 		}
 	}
-	return recs
+	return recs, nil
 }
 
 // Scenarios returns the full mixed-workload matrix: at least two scenario
@@ -841,30 +845,6 @@ func reclaimScenarios() []Scenario {
 	}
 }
 
-// delegatorGauges flattens a combining backend's stats into record gauges.
-// avg_batch is the headline: batch size growing with the thread count is
-// the signature of delegation working, and comparing it across the
-// FlatCombining/CC-Synch/DSM-Synch rows of one cell shows which protocol
-// keeps batches full.
-func delegatorGauges(s contend.DelegatorStats) map[string]float64 {
-	return map[string]float64{
-		"batches":      float64(s.Batches),
-		"ops_combined": float64(s.Ops),
-		"max_batch":    float64(s.MaxBatch),
-		"avg_batch":    s.AvgBatch(),
-		"handoffs":     float64(s.Handoffs),
-	}
-}
-
-// withDelegatorGauges attaches the combining-backend gauges when the
-// structure is combining-backed.
-func withDelegatorGauges(res Result, s any) Result {
-	if d, ok := s.(interface{ Stats() contend.DelegatorStats }); ok {
-		res.Gauges = delegatorGauges(d.Stats())
-	}
-	return res
-}
-
 // contendScenarios showcases the contention-management layer: the
 // combining/elimination-backed variants under the high-contention symmetric
 // mixes they were designed for. Unlike the family matrices above, these
@@ -878,7 +858,7 @@ func contendScenarios() []Scenario {
 	queueSc := Scenario{Family: "contend", Name: "queue-symmetric-50/50-empty",
 		Algos: cells(pick(queueImpls(), "MS", "ElimMS", "FC", "FC/CC-Synch", "FC/DSM-Synch"), func(mk func() cds.Queue[int], cfg Config, th int) Result {
 			q := mk()
-			return withDelegatorGauges(RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			return withStats[contend.DelegatorStats](RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+13, 50, 50)
 				return func(i int) {
 					if mix.Next() == 0 {
@@ -893,7 +873,7 @@ func contendScenarios() []Scenario {
 	pqSc := Scenario{Family: "contend", Name: "pqueue-symmetric-50/50",
 		Algos: cells(pqueueImpls(), func(mk func() cds.PriorityQueue[int], cfg Config, th int) Result {
 			pq := mk()
-			return withDelegatorGauges(RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
+			return withStats[contend.DelegatorStats](RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+29, 50, 50)
 				rng := xrand.New(uint64(w) + 43)
 				return func(int) {
@@ -912,7 +892,7 @@ func contendScenarios() []Scenario {
 	dqSc := Scenario{Family: "contend", Name: "deque-symmetric-both-ends",
 		Algos: cells(pick(dequeImpls(), "MutexDeque", "FCDeque", "FCDeque/CC-Synch", "FCDeque/DSM-Synch"), func(mk func() cds.Deque[int], cfg Config, th int) Result {
 			d := mk()
-			return withDelegatorGauges(RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			return withStats[contend.DelegatorStats](RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+31, 40, 30, 30)
 				return func(i int) {
 					switch mix.Next() {
@@ -933,7 +913,7 @@ func contendScenarios() []Scenario {
 	ctrSc := Scenario{Family: "contend", Name: "counter-inc-heavy-90/10",
 		Algos: cells(pick(counterImpls(), "Atomic", "Combining", "Combining/CC-Synch", "Combining/DSM-Synch"), func(mk func() cds.Counter, cfg Config, th int) Result {
 			c := mk()
-			return withDelegatorGauges(RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
+			return withStats[contend.DelegatorStats](RunLatency(th, cfg.ops(200000)/th+1, func(w int) func(int) {
 				mix := NewMixGen(uint64(w)*104729+37, 90, 10)
 				return func(int) {
 					if mix.Next() == 0 {
@@ -967,23 +947,12 @@ func reclaimVariants() []impl[reclaimVariant] {
 	}
 }
 
-// reclaimGauges snapshots the domain's end-of-run pending-garbage and
-// reclaimed counters (zero for the GC variant, which defers nothing).
-func reclaimGauges(dom reclaim.Domain) map[string]float64 {
-	g := map[string]float64{"pending_garbage": 0, "reclaimed": 0}
-	if dom != nil {
-		g["pending_garbage"] = float64(dom.Pending())
-		g["reclaimed"] = float64(dom.Reclaimed())
-	}
-	return g
-}
-
 // reclaimListChurn measures one Harris cell on the shared 40/40/20
 // add/remove/contains churn mix; both F12 and the S14 list scenario run
 // exactly this cell (different key ranges and op budgets), so a change to
 // the workload cannot diverge the two reports.
 func reclaimListChurn(v reclaimVariant, th, ops, keyRange int) Result {
-	var dom reclaim.Domain
+	dom := reclaim.NewGC() // the structure's default when no option is given
 	var opts []list.Option
 	if v.dom != nil {
 		dom = v.dom()
@@ -1009,14 +978,14 @@ func reclaimListChurn(v reclaimVariant, th, ops, keyRange int) Result {
 			}
 		}
 	})
-	res.Gauges = reclaimGauges(dom)
+	res.gauge(dom)
 	return res
 }
 
 // reclaimMapChurn is the split-ordered counterpart of reclaimListChurn
 // (40/40/20 store/delete/load), likewise shared by F12 and S14.
 func reclaimMapChurn(v reclaimVariant, th, ops, keyRange int) Result {
-	var dom reclaim.Domain
+	dom := reclaim.NewGC() // the structure's default when no option is given
 	var opts []cmap.Option
 	if v.dom != nil {
 		dom = v.dom()
@@ -1042,14 +1011,14 @@ func reclaimMapChurn(v reclaimVariant, th, ops, keyRange int) Result {
 			}
 		}
 	})
-	res.Gauges = reclaimGauges(dom)
+	res.gauge(dom)
 	return res
 }
 
 // lockFreeSkiplist builds the lock-free skip list under a variant (the
 // skip list has no recycling mode), prefilled with keyRange/2 keys.
 func lockFreeSkiplist(v reclaimVariant, keyRange int) (*skiplist.LockFree[int], reclaim.Domain) {
-	var dom reclaim.Domain
+	dom := reclaim.NewGC() // the structure's default when no option is given
 	var opts []skiplist.Option
 	if v.dom != nil {
 		dom = v.dom()
@@ -1088,7 +1057,7 @@ func reclaimStructScenarios() []Scenario {
 		Algos: cells(withPrefix("LockFree/", pick(reclaimVariants(), "GC", "EBR", "HP")), func(v reclaimVariant, cfg Config, th int) Result {
 			s, dom := lockFreeSkiplist(v, keyRange)
 			var stall reclaim.Guard
-			if dom != nil {
+			if v.dom != nil {
 				stall = dom.NewGuard(1)
 			}
 			res := RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
@@ -1123,7 +1092,7 @@ func reclaimStructScenarios() []Scenario {
 			})
 			// Snapshot the gauges while the stall is still pinned: the
 			// whole point is the garbage a stalled reader strands.
-			res.Gauges = reclaimGauges(dom)
+			res.gauge(dom)
 			if stall != nil {
 				stall.Exit()
 				stall.Release()
@@ -1158,19 +1127,6 @@ func (q chanBQ) Take(ctx context.Context) (int, error) {
 
 func (q chanBQ) Len() int { return len(q.ch) }
 
-// dualGauges surfaces a dual structure's waiter-management counters as
-// record gauges (the blocking counterpart of the reclamation cells'
-// pending_garbage/reclaimed pair).
-func dualGauges(st dual.Stats) map[string]float64 {
-	return map[string]float64{
-		"reservations": float64(st.Reservations),
-		"fulfilled":    float64(st.Fulfilled),
-		"parks":        float64(st.Parks),
-		"cancelled":    float64(st.Cancelled),
-		"handoffs":     float64(st.Handoffs),
-	}
-}
-
 // dualOpTimeout bounds every blocking operation in the dual cells. It is
 // the cancellation budget of the scenario family: an op that finds no
 // partner (or no room) within it returns ctx.Err, counts in the cancelled
@@ -1200,13 +1156,9 @@ func dualScenarios() []Scenario {
 	scenario := func(name string, roles func(w int, q cds.BlockingQueue[int]) func(i int)) Scenario {
 		return Scenario{Family: "dual", Name: name, Algos: cells(impls, func(mk func() cds.BlockingQueue[int], cfg Config, th int) Result {
 			q := mk()
-			res := RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
+			return withStats[dual.Stats](RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
 				return roles(w, q)
-			})
-			if d, ok := q.(interface{ Stats() dual.Stats }); ok {
-				res.Gauges = dualGauges(d.Stats())
-			}
-			return res
+			}), q)
 		})}
 	}
 

@@ -110,7 +110,7 @@ func TestScenarioRecordsCarryLatency(t *testing.T) {
 			break
 		}
 	}
-	recs := scen.Run(cfg)
+	recs := runScenario(t, scen, cfg)
 	if want := len(scen.Algos) * 2; len(recs) != want {
 		t.Fatalf("got %d records, want %d", len(recs), want)
 	}
@@ -167,7 +167,7 @@ func TestReclaimStructScenarioShape(t *testing.T) {
 				t.Errorf("%s: algo[%d] = %q, want %q", s.Name, i, got[i], want[i])
 			}
 		}
-		for _, r := range s.Run(cfg) {
+		for _, r := range runScenario(t, s, cfg) {
 			if r.Gauges == nil {
 				t.Errorf("%s/%s: record missing gauges", s.Name, r.Algo)
 				continue
@@ -215,7 +215,7 @@ func TestDualScenarioShape(t *testing.T) {
 				t.Errorf("%s: algo[%d] = %q, want %q", s.Name, i, got[i], wantAlgos[i])
 			}
 		}
-		for _, r := range s.Run(cfg) {
+		for _, r := range runScenario(t, s, cfg) {
 			if r.Algo == "Channel" {
 				if r.Gauges != nil {
 					t.Errorf("%s/Channel: unexpected gauges %v", s.Name, r.Gauges)
@@ -298,7 +298,7 @@ func TestPoolScenarioShape(t *testing.T) {
 			}
 		}
 		opsByAlgo := map[string]int64{}
-		for _, r := range s.Run(cfg) {
+		for _, r := range runScenario(t, s, cfg) {
 			if r.Ops <= 0 {
 				t.Errorf("%s/%s: no tasks executed", s.Name, r.Algo)
 			}
@@ -338,4 +338,15 @@ func TestPoolScenarioShape(t *testing.T) {
 			}
 		}
 	}
+}
+
+// runScenario runs every cell of s, failing the test if a cell broke a
+// declared law.
+func runScenario(t *testing.T, s Scenario, cfg Config) []Record {
+	t.Helper()
+	recs, err := s.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return recs
 }

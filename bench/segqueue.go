@@ -12,9 +12,10 @@ import (
 // queue.MS (one CAS race per operation) and the bounded queue.MPMC ring
 // (one CAS race per ticket). Every record carries conservation gauges —
 // harness-counted enqueues/dequeues plus the structure's own segment
-// counters — so a report certifies not just throughput but where the
-// operations went: enqueues == dequeues + residual, and segs_allocated ==
-// segs_recycled + segs_live + segs_retired_pending. The enq_slowpath and
+// counters — and every cell checks where the operations went, failing
+// the run unless enqueues == dequeues + residual (the harness's law) and
+// segs_allocated == segs_recycled + segs_live + segs_retired_pending
+// (queue.SegStats's) both hold. The enq_slowpath and
 // deq_abandoned gauges split FAA fast-path operations from tantrum/append
 // traffic, which is the evidence that matters on hardware too small to
 // show a parallel-speedup ratio (see Report.Summary).
@@ -26,65 +27,31 @@ type segWorkerCounts struct {
 	_        [112]byte
 }
 
-// segHarnessGauges folds the per-worker tallies into the conservation
-// gauges. prefill counts as enqueues (the harness performed them before
-// the measured region) so the identity enqueues == dequeues + residual
-// holds exactly. extra, when non-nil, contributes the structure's own
-// end-of-run counters.
-func segHarnessGauges(counts []segWorkerCounts, prefill, residual int, extra func() map[string]float64) map[string]float64 {
-	var enq, deq int64
-	for i := range counts {
-		enq += counts[i].enq
-		deq += counts[i].deq
-	}
-	g := map[string]float64{
-		"enqueues": float64(int64(prefill) + enq),
-		"dequeues": float64(deq),
-		"residual": float64(residual),
-	}
-	if extra != nil {
-		for k, v := range extra() {
-			g[k] = v
-		}
-	}
-	return g
-}
+// segTally is a cell's harness-counted operation totals. prefill counts
+// as enqueues (the harness performed them before the measured region) so
+// its one law, enqueues == dequeues + residual, holds exactly.
+type segTally struct{ enq, deq, residual int64 }
 
-// segStatGauges flattens a segmented queue's segment-lifecycle counters
-// into record gauges. The naming is what the CI bench-smoke validation
-// asserts over.
-func segStatGauges(s queue.SegStats) map[string]float64 {
-	return map[string]float64{
-		"segs_allocated":       float64(s.SegsAllocated),
-		"segs_recycled":        float64(s.SegsRecycled),
-		"segs_reused":          float64(s.SegsReused),
-		"segs_closed":          float64(s.SegsClosed),
-		"segs_live":            float64(s.SegsLive),
-		"segs_retired_pending": float64(s.SegsRetiredPending),
-		"enq_slowpath":         float64(s.EnqSlowpath),
-		"deq_abandoned":        float64(s.DeqAbandoned),
+func (t segTally) Gauges(emit func(name string, v float64)) error {
+	emit("enqueues", float64(t.enq))
+	emit("dequeues", float64(t.deq))
+	emit("residual", float64(t.residual))
+	if t.enq != t.deq+t.residual {
+		return fmt.Errorf("S18 harness: law enqueues == dequeues + residual broken (%d != %d + %d)",
+			t.enq, t.deq, t.residual)
 	}
-}
-
-// mpmcStatGauges flattens the bounded ring's CAS-miss and backoff
-// counters (the observable face of the S2 backoff fix).
-func mpmcStatGauges(s queue.MPMCStats) map[string]float64 {
-	return map[string]float64{
-		"enq_cas_misses": float64(s.EnqCASMisses),
-		"deq_cas_misses": float64(s.DeqCASMisses),
-		"backoffs":       float64(s.Backoffs),
-	}
+	return nil
 }
 
 // segDriver adapts one queue implementation to the S18 harness: enq/deq
 // report success (so failed bounded-ring tickets and empty dequeues do not
-// corrupt the conservation gauges), length reads the residual, and gauges
+// corrupt the conservation gauges), length reads the residual, and stats
 // (optional) snapshots the structure's own counters.
 type segDriver struct {
 	enq    func(int) bool
 	deq    func() bool
 	length func() int
-	gauges func() map[string]float64
+	stats  func() gauger
 }
 
 func msSegDriver() segDriver {
@@ -102,7 +69,7 @@ func lcrqSegDriver(opts ...queue.Option) segDriver {
 		enq:    func(v int) bool { q.Enqueue(v); return true },
 		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
 		length: q.Len,
-		gauges: func() map[string]float64 { return segStatGauges(q.Stats()) },
+		stats:  func() gauger { return q.Stats() },
 	}
 }
 
@@ -118,13 +85,7 @@ func lcrqEBRSegDriver() segDriver {
 		enq:    func(v int) bool { q.Enqueue(v); return true },
 		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
 		length: q.Len,
-		gauges: func() map[string]float64 {
-			g := segStatGauges(q.Stats())
-			for k, v := range reclaimGauges(dom) {
-				g[k] = v
-			}
-			return g
-		},
+		stats:  func() gauger { return gaugers{q.Stats(), dom} },
 	}
 }
 
@@ -134,7 +95,7 @@ func mpscSegDriver() segDriver {
 		enq:    func(v int) bool { q.Enqueue(v); return true },
 		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
 		length: q.Len,
-		gauges: func() map[string]float64 { return segStatGauges(q.Stats()) },
+		stats:  func() gauger { return q.Stats() },
 	}
 }
 
@@ -144,7 +105,7 @@ func mpmcSegDriver() segDriver {
 		enq:    q.TryEnqueue,
 		deq:    func() bool { _, ok := q.TryDequeue(); return ok },
 		length: q.Len,
-		gauges: func() map[string]float64 { return mpmcStatGauges(q.Stats()) },
+		stats:  func() gauger { return q.Stats() },
 	}
 }
 
@@ -173,7 +134,15 @@ func runSegCell(cfg Config, th, prefill int, mk func() segDriver,
 	res := RunLatency(th, ops/th+1, func(w int) func(int) {
 		return role(w, th, d, &counts[w])
 	})
-	res.Gauges = segHarnessGauges(counts, prefill, d.length(), d.gauges)
+	tally := segTally{enq: int64(prefill), residual: int64(d.length())}
+	for i := range counts {
+		tally.enq += counts[i].enq
+		tally.deq += counts[i].deq
+	}
+	res.gauge(tally)
+	if d.stats != nil {
+		res.gauge(d.stats())
+	}
 	return res
 }
 
@@ -278,7 +247,7 @@ func segQueueS2Algos() (mixed, split []ScenarioAlgo) {
 				}
 			}
 		})
-		res.Gauges = d.gauges()
+		res.gauge(d.stats())
 		return res
 	})
 	split = cells(impls, func(mk func() segDriver, cfg Config, th int) Result {
@@ -292,7 +261,7 @@ func segQueueS2Algos() (mixed, split []ScenarioAlgo) {
 			}
 			return func(int) { d.deq() }
 		})
-		res.Gauges = d.gauges()
+		res.gauge(d.stats())
 		return res
 	})
 	return mixed, split

@@ -29,6 +29,9 @@ func BenchmarkSuite(b *testing.B) {
 					name := fmt.Sprintf("%s/%s/%s/%s=%d", e.ID, s.Name, a.Label, xlabel, x)
 					b.Run(name, func(b *testing.B) {
 						res := a.Run(bench.Config{Ops: b.N}, x)
+						if res.Err != nil {
+							b.Fatal(res.Err)
+						}
 						b.ReportMetric(res.NsPerOp(), "ns/op")
 						for _, m := range res.Metrics {
 							b.ReportMetric(m.Value, m.Unit)

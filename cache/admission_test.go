@@ -48,9 +48,7 @@ func TestAdmissionRejectsColdCandidate(t *testing.T) {
 	if st.Evictions != 0 {
 		t.Fatalf("Evictions = %d, want 0 (rejected insert must not evict)", st.Evictions)
 	}
-	if st.AdmissionRejects > st.EvictConsidered {
-		t.Fatalf("AdmissionRejects %d > EvictConsidered %d", st.AdmissionRejects, st.EvictConsidered)
-	}
+	checkLaws(t, c)
 }
 
 // TestAdmissionAdmitsHotCandidate continues the cold-candidate trace: the

@@ -3,6 +3,7 @@ package cache
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -617,7 +618,16 @@ type shardStats struct {
 
 // Stats is a point-in-time snapshot of the cache's gauges. Counts are
 // exact in quiescent states; under concurrency each gauge is individually
-// accurate but the set is not an atomic snapshot.
+// accurate but the set is not an atomic snapshot. At quiescence (no
+// operation in flight) a snapshot obeys two laws, which Gauges checks:
+//
+//	StampedeSuppressed <= Misses
+//	AdmissionRejects <= EvictConsidered
+//
+// A cache bounded by WithMaxWeight obeys a third, which needs the budget
+// the snapshot does not carry; Cache.Gauges checks it with the other two:
+//
+//	WeightResident <= MaxWeight()
 type Stats struct {
 	// Hits and Misses partition every completed lookup (Get, GetMany,
 	// and GetOrLoad's initial probe): Hits + Misses == Lookups().
@@ -763,4 +773,46 @@ func (c *Cache[K, V]) Close() {
 	if wasStarted && !wasClosed {
 		<-w.done
 	}
+}
+
+// Gauges emits the snapshot under its report gauge keys and returns an
+// error naming the first law of Stats it breaks.
+func (s Stats) Gauges(emit func(name string, v float64)) error {
+	emit("hits", float64(s.Hits))
+	emit("misses", float64(s.Misses))
+	emit("lookups", float64(s.Lookups()))
+	emit("hit_rate", s.HitRate())
+	emit("evictions", float64(s.Evictions))
+	emit("expired", float64(s.Expired))
+	emit("loads", float64(s.Loads))
+	emit("stampede_suppressed", float64(s.StampedeSuppressed))
+	emit("weight_resident", float64(s.WeightResident))
+	emit("admission_rejects", float64(s.AdmissionRejects))
+	emit("evict_considered", float64(s.EvictConsidered))
+	switch {
+	case s.StampedeSuppressed > s.Misses:
+		return fmt.Errorf("cache.Stats: law stampede_suppressed <= misses broken (%d > %d)",
+			s.StampedeSuppressed, s.Misses)
+	case s.AdmissionRejects > s.EvictConsidered:
+		return fmt.Errorf("cache.Stats: law admission_rejects <= evict_considered broken (%d > %d)",
+			s.AdmissionRejects, s.EvictConsidered)
+	}
+	return nil
+}
+
+// Gauges emits a Stats snapshot and the weight budget (max_weight, 0 when
+// count-bounded) under their report gauge keys, and returns an error
+// naming the first law broken: one of Stats's, or WeightResident <=
+// MaxWeight() on a weight-bounded cache.
+func (c *Cache[K, V]) Gauges(emit func(name string, v float64)) error {
+	st := c.Stats()
+	emit("max_weight", float64(c.maxWeight))
+	if err := st.Gauges(emit); err != nil {
+		return err
+	}
+	if c.maxWeight > 0 && st.WeightResident > c.maxWeight {
+		return fmt.Errorf("cache.Cache: law weight_resident <= max_weight broken (%d > %d)",
+			st.WeightResident, c.maxWeight)
+	}
+	return nil
 }

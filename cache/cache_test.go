@@ -213,11 +213,42 @@ func TestStatsPartitionLookups(t *testing.T) {
 		c.Get(i % 32)
 	}
 	st := c.Stats()
-	if st.Hits+st.Misses != st.Lookups() || st.Lookups() != 100 {
-		t.Fatalf("Hits(%d) + Misses(%d) != Lookups(%d) == 100", st.Hits, st.Misses, st.Lookups())
+	if st.Lookups() != 100 {
+		t.Fatalf("Hits(%d) + Misses(%d) = %d, want 100", st.Hits, st.Misses, st.Lookups())
 	}
 	if hr := st.HitRate(); hr <= 0 || hr > 1 {
 		t.Fatalf("HitRate = %v, want in (0, 1]", hr)
+	}
+	checkLaws(t, c)
+	// Hand-built states, one per declared law, that Gauges must reject.
+	for _, bad := range []Stats{
+		{Misses: 1, StampedeSuppressed: 2},
+		{EvictConsidered: 1, AdmissionRejects: 2},
+	} {
+		if err := bad.Gauges(func(string, float64) {}); err == nil {
+			t.Errorf("Gauges accepted %+v", bad)
+		}
+	}
+	over := New[int, int](16, WithShards(1), WithMaxWeight(10))
+	over.shards[0].stats.weightRes.Store(11)
+	var budget float64
+	if err := over.Gauges(func(k string, v float64) {
+		if k == "max_weight" {
+			budget = v
+		}
+	}); err == nil || budget != 10 {
+		t.Errorf("Gauges on 11 resident of a 10 budget: err = %v, max_weight = %v", err, budget)
+	}
+}
+
+// checkLaws fails the test when a cache or snapshot breaks a law it
+// declares.
+func checkLaws(t *testing.T, g interface {
+	Gauges(func(string, float64)) error
+}) {
+	t.Helper()
+	if err := g.Gauges(func(string, float64) {}); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -348,9 +379,7 @@ func TestGetOrLoadSingleflight(t *testing.T) {
 	if st.Loads != 1 || st.StampedeSuppressed != followers {
 		t.Fatalf("Loads = %d, StampedeSuppressed = %d, want 1 and %d", st.Loads, st.StampedeSuppressed, followers)
 	}
-	if st.StampedeSuppressed > st.Misses {
-		t.Fatalf("StampedeSuppressed(%d) > Misses(%d)", st.StampedeSuppressed, st.Misses)
-	}
+	checkLaws(t, c)
 }
 
 // TestGetOrLoadFollowerContext cancels a follower's context mid-flight:
@@ -484,13 +513,7 @@ func TestConcurrentMixed(t *testing.T) {
 			if n := c.Len(); n > 128 {
 				t.Fatalf("Len = %d, want <= capacity 128", n)
 			}
-			st := c.Stats()
-			if st.Hits+st.Misses != st.Lookups() {
-				t.Fatalf("gauge partition broken: %+v", st)
-			}
-			if st.StampedeSuppressed > st.Misses {
-				t.Fatalf("StampedeSuppressed(%d) > Misses(%d)", st.StampedeSuppressed, st.Misses)
-			}
+			checkLaws(t, c)
 		})
 	}
 }

@@ -11,20 +11,6 @@ func weighted(maxWeight int64, p Policy) *Cache[string, int] {
 	return New[string, int](16, WithPolicy(p), WithShards(1), WithMaxWeight(maxWeight))
 }
 
-// checkWeightInvariant asserts the weighted-capacity contract the CI
-// bench-smoke also watches: resident weight never exceeds the bound, and
-// every admission rejection considered a victim first.
-func checkWeightInvariant(t *testing.T, c *Cache[string, int]) {
-	t.Helper()
-	st := c.Stats()
-	if c.MaxWeight() > 0 && st.WeightResident > c.MaxWeight() {
-		t.Fatalf("WeightResident %d > MaxWeight %d", st.WeightResident, c.MaxWeight())
-	}
-	if st.AdmissionRejects > st.EvictConsidered {
-		t.Fatalf("AdmissionRejects %d > EvictConsidered %d", st.AdmissionRejects, st.EvictConsidered)
-	}
-}
-
 // TestWeightedBasicAccounting pins SetWeight's gauge arithmetic: inserts
 // add, updates adjust by the delta, deletes subtract.
 func TestWeightedBasicAccounting(t *testing.T) {
@@ -42,7 +28,7 @@ func TestWeightedBasicAccounting(t *testing.T) {
 	if st := c.Stats(); st.WeightResident != 2 {
 		t.Fatalf("after delete WeightResident = %d, want 2", st.WeightResident)
 	}
-	checkWeightInvariant(t, c)
+	checkLaws(t, c)
 }
 
 // TestWeightedMultiVictimEviction pins the defining weighted behaviour:
@@ -62,7 +48,7 @@ func TestWeightedMultiVictimEviction(t *testing.T) {
 	if st.WeightResident != 9 {
 		t.Fatalf("WeightResident = %d, want 9", st.WeightResident)
 	}
-	checkWeightInvariant(t, c)
+	checkLaws(t, c)
 }
 
 // TestWeightedCountBoundDisabled pins the "switch" semantics of
@@ -80,7 +66,7 @@ func TestWeightedCountBoundDisabled(t *testing.T) {
 	if st := c.Stats(); st.Evictions != 0 {
 		t.Fatalf("Evictions = %d, want 0", st.Evictions)
 	}
-	checkWeightInvariant(t, c)
+	checkLaws(t, c)
 }
 
 // TestWeightedInfeasibleRejected pins the over-budget corner: an entry
@@ -109,7 +95,7 @@ func TestWeightedInfeasibleRejected(t *testing.T) {
 	if st := c.Stats(); st.WeightResident != 0 {
 		t.Fatalf("WeightResident = %d, want 0", st.WeightResident)
 	}
-	checkWeightInvariant(t, c)
+	checkLaws(t, c)
 }
 
 // TestWeightedGrowingUpdateSheds pins shedLocked: updating a resident
@@ -129,7 +115,7 @@ func TestWeightedGrowingUpdateSheds(t *testing.T) {
 	if st.WeightResident != 7 {
 		t.Fatalf("WeightResident = %d, want 7", st.WeightResident)
 	}
-	checkWeightInvariant(t, c)
+	checkLaws(t, c)
 }
 
 // TestWeigher pins WithWeigher: Set (no explicit weight) charges the
@@ -147,7 +133,7 @@ func TestWeigher(t *testing.T) {
 	if st := c.Stats(); st.WeightResident != 4 {
 		t.Fatalf("WeightResident = %d, want 4", st.WeightResident)
 	}
-	checkWeightInvariant(t, c)
+	checkLaws(t, c)
 }
 
 // TestWeigherTypeMismatchPanics pins the constructor's guard: WithWeigher
@@ -188,7 +174,7 @@ func TestWeightedWithPolicies(t *testing.T) {
 			k := fmt.Sprintf("k%d", i%10)
 			c.SetWeight(k, i, int64(1+i%7))
 			c.Get(fmt.Sprintf("k%d", (i+3)%10))
-			checkWeightInvariant(t, c)
+			checkLaws(t, c)
 		}
 		if c.Len() == 0 {
 			t.Errorf("%v: cache drained to empty under feasible weights", p)

@@ -39,7 +39,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("cdsbench", flag.ContinueOnError)
 	var (
 		experiment = fs.String("experiment", "", "experiment ID to run (e.g. F1, A2, S3); empty runs the main suite")
@@ -93,16 +93,28 @@ func run(args []string) error {
 	}
 	w := os.Stdout
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			return err
+		f, cerr := os.Create(*out)
+		if cerr != nil {
+			return cerr
 		}
-		defer f.Close()
+		defer func() {
+			// A failed run (a cell broke a declared law) leaves no
+			// partial output behind.
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+			if err != nil {
+				os.Remove(*out)
+			}
+		}()
 		w = f
 	}
 
 	if *format == "json" {
-		rep := bench.BuildReport(cfg, selected)
+		rep, err := bench.BuildReport(cfg, selected)
+		if err != nil {
+			return err
+		}
 		if rep.Meta.GitRevision == "unknown" {
 			if rev := gitRevision(); rev != "" {
 				rep.Meta.GitRevision = rev
@@ -114,7 +126,11 @@ func run(args []string) error {
 		return rep.WriteJSON(w)
 	}
 	for _, e := range selected {
-		if err := e.Render(w, e.Records(cfg)); err != nil {
+		recs, err := e.Records(cfg)
+		if err != nil {
+			return err
+		}
+		if err := e.Render(w, recs); err != nil {
 			return err
 		}
 	}

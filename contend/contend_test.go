@@ -375,19 +375,26 @@ func TestCombinerAppliesAllOps(t *testing.T) {
 			if st.Ops != workers*perW+1 {
 				t.Fatalf("Stats.Ops = %d, want %d", st.Ops, workers*perW+1)
 			}
-			if st.Batches == 0 || st.Batches > st.Ops {
-				t.Fatalf("Stats.Batches = %d out of range (1..%d)", st.Batches, st.Ops)
+			if st.Batches == 0 {
+				t.Fatal("Stats.Batches = 0 once ops ran")
 			}
-			if st.MaxBatch == 0 || st.MaxBatch > st.Ops {
-				t.Fatalf("Stats.MaxBatch = %d out of range (1..%d)", st.MaxBatch, st.Ops)
+			if err := st.Gauges(func(string, float64) {}); err != nil {
+				t.Fatal(err)
 			}
 			if be != BackendFlatCombining && st.MaxBatch > combineBound {
 				t.Fatalf("Stats.MaxBatch = %d exceeds the %d batch bound", st.MaxBatch, combineBound)
 			}
-			if avg := st.AvgBatch(); avg < 1 {
-				t.Fatalf("AvgBatch = %v, want >= 1 once ops ran", avg)
-			}
 		})
+	}
+	// Hand-built snapshots, one per declared law, that Gauges must reject.
+	for _, bad := range []DelegatorStats{
+		{Batches: 3, Ops: 2, MaxBatch: 1},
+		{Batches: 1, Ops: 2, MaxBatch: 3},
+		{Batches: 2, Ops: 6, MaxBatch: 2},
+	} {
+		if err := bad.Gauges(func(string, float64) {}); err == nil {
+			t.Errorf("Gauges accepted %+v", bad)
+		}
 	}
 }
 

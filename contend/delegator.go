@@ -1,6 +1,9 @@
 package contend
 
-import "sync/atomic"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Delegator is the combining-backend abstraction: a concurrency wrapper
 // around a sequential structure S where threads submit operations and a
@@ -81,6 +84,17 @@ func NewDelegator[S any](b Backend, seq S) Delegator[S] {
 // interesting ratio is Ops/Batches (see AvgBatch): combining only pays for
 // itself when batches are bigger than one, and batch size growing with the
 // thread count is the signature of delegation working.
+//
+// Every pass applies at least one operation and no pass applies more than
+// all of them, so at quiescence (no combining pass in flight) a snapshot
+// obeys the laws Gauges checks:
+//
+//	Batches <= Ops
+//	MaxBatch <= Ops
+//	1 <= AvgBatch() <= MaxBatch          (when Batches > 0)
+//
+// Handoffs is not bounded by Batches: flat combining counts a handoff per
+// re-wait, not per pass.
 type DelegatorStats struct {
 	// Batches counts combining passes that applied at least one operation.
 	Batches uint64
@@ -108,6 +122,27 @@ func (s DelegatorStats) AvgBatch() float64 {
 		return 0
 	}
 	return float64(s.Ops) / float64(s.Batches)
+}
+
+// Gauges emits the snapshot under its report gauge keys and returns an
+// error naming the first law of DelegatorStats it breaks. The AvgBatch
+// bounds are checked in integers: 1 <= AvgBatch() is Batches <= Ops, and
+// AvgBatch() <= MaxBatch is Ops <= MaxBatch*Batches.
+func (s DelegatorStats) Gauges(emit func(name string, v float64)) error {
+	emit("batches", float64(s.Batches))
+	emit("ops_combined", float64(s.Ops))
+	emit("max_batch", float64(s.MaxBatch))
+	emit("avg_batch", s.AvgBatch())
+	emit("handoffs", float64(s.Handoffs))
+	switch {
+	case s.Batches > s.Ops:
+		return fmt.Errorf("contend.DelegatorStats: law batches <= ops_combined broken (%d > %d)", s.Batches, s.Ops)
+	case s.MaxBatch > s.Ops:
+		return fmt.Errorf("contend.DelegatorStats: law max_batch <= ops_combined broken (%d > %d)", s.MaxBatch, s.Ops)
+	case s.Batches > 0 && s.Ops > s.MaxBatch*s.Batches:
+		return fmt.Errorf("contend.DelegatorStats: law avg_batch <= max_batch broken (%v > %d)", s.AvgBatch(), s.MaxBatch)
+	}
+	return nil
 }
 
 // delegStats is the shared counter block behind Stats on every backend.

@@ -106,8 +106,12 @@ func TestCountersConcurrent(t *testing.T) {
 		t.Run("Combining/"+be.String(), func(t *testing.T) {
 			c := NewCombining(WithBackend(be))
 			testConcurrentSum(t, c, c.Load)
-			if st := c.Stats(); st.Ops == 0 || st.Batches == 0 {
+			st := c.Stats()
+			if st.Ops == 0 || st.Batches == 0 {
 				t.Fatalf("backend gauges empty after traffic: %+v", st)
+			}
+			if err := st.Gauges(func(string, float64) {}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

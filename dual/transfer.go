@@ -84,7 +84,7 @@ type stats struct {
 
 // Stats is a point-in-time snapshot of a blocking structure's
 // waiter-management counters. The S15 benchmark scenarios surface it as
-// record gauges.
+// record gauges through Gauges.
 type Stats struct {
 	// Reservations counts operations that installed a waiting node (a
 	// Take that found no data, or a synchronous Put that found no taker).
@@ -100,6 +100,17 @@ type Stats struct {
 	// Handoffs counts fast-path rendezvous through the handoff array
 	// (Sync only; zero elsewhere).
 	Handoffs int64
+}
+
+// Gauges emits the snapshot under its report gauge keys. Stats declares
+// no law, so it always returns nil.
+func (s Stats) Gauges(emit func(name string, v float64)) error {
+	emit("reservations", float64(s.Reservations))
+	emit("fulfilled", float64(s.Fulfilled))
+	emit("parks", float64(s.Parks))
+	emit("cancelled", float64(s.Cancelled))
+	emit("handoffs", float64(s.Handoffs))
+	return nil
 }
 
 func (s *stats) snapshot() Stats {

@@ -108,8 +108,12 @@ func TestFCQueueFIFO(t *testing.T) {
 					t.Fatalf("TryDequeue = (%d,%v), want (%d,true)", v, ok, i)
 				}
 			}
-			if st := q.Stats(); st.Ops == 0 || st.Batches == 0 {
+			st := q.Stats()
+			if st.Ops == 0 || st.Batches == 0 {
 				t.Fatalf("backend gauges empty after traffic: %+v", st)
+			}
+			if err := st.Gauges(func(string, float64) {}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

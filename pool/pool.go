@@ -3,6 +3,7 @@ package pool
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -375,7 +376,12 @@ func (p *WorkStealing[T]) parkIdle(w *Worker[T]) {
 	}
 }
 
-// Stats is a snapshot of the executor's scheduling counters.
+// Stats is a snapshot of the executor's scheduling counters. Every
+// executed task was accepted first, so at quiescence (no Submit, Spawn or
+// task in flight, e.g. after Shutdown's drain) a snapshot obeys the law
+// Gauges checks:
+//
+//	Executed() <= Submitted + Spawned
 type Stats struct {
 	// Submitted and Spawned count accepted external and internal tasks.
 	Submitted, Spawned uint64
@@ -388,6 +394,21 @@ type Stats struct {
 
 // Executed reports the total tasks run so far.
 func (s Stats) Executed() uint64 { return s.LocalHits + s.InjectHits + s.Steals }
+
+// Gauges emits the snapshot under its report gauge keys and returns an
+// error when the law of Stats is broken.
+func (s Stats) Gauges(emit func(name string, v float64)) error {
+	emit("steals", float64(s.Steals))
+	emit("local_hits", float64(s.LocalHits))
+	emit("inject_hits", float64(s.InjectHits))
+	emit("parks", float64(s.Parks))
+	emit("executed", float64(s.Executed()))
+	if s.Executed() > s.Submitted+s.Spawned {
+		return fmt.Errorf("pool.Stats: law executed <= submitted + spawned broken (%d > %d + %d)",
+			s.Executed(), s.Submitted, s.Spawned)
+	}
+	return nil
+}
 
 // Stats sums the per-worker counters. Counters are monotone; under
 // concurrency the snapshot is approximate in the usual Len sense.

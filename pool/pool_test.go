@@ -234,29 +234,45 @@ func TestShutdownIdempotent(t *testing.T) {
 }
 
 // TestStatsClassifySources: a fork-join run classifies every execution as
-// a local hit, injection-lane hit, or steal — nothing uncounted.
+// a local hit, injection-lane hit, or steal — nothing uncounted. With one
+// worker the classification is deterministic: the root comes from the
+// injection lane, every spawned task from the worker's own deque, and
+// there is no victim to steal from.
 func TestStatsClassifySources(t *testing.T) {
 	const leaves = 1 << 12
-	p := NewWorkStealing(func(w *Worker[task], tk task) {
-		if tk.hi-tk.lo == 1 {
-			return
+	for _, workers := range []int{4, 1} {
+		p := NewWorkStealing(func(w *Worker[task], tk task) {
+			if tk.hi-tk.lo == 1 {
+				return
+			}
+			mid := (tk.lo + tk.hi) / 2
+			w.Spawn(task{lo: tk.lo, hi: mid})
+			w.Spawn(task{lo: mid, hi: tk.hi})
+		}, WithWorkers(workers))
+		p.Submit(task{lo: 0, hi: leaves})
+		if err := p.Shutdown(context.Background()); err != nil {
+			t.Fatalf("workers=%d: Shutdown: %v", workers, err)
 		}
-		mid := (tk.lo + tk.hi) / 2
-		w.Spawn(task{lo: tk.lo, hi: mid})
-		w.Spawn(task{lo: mid, hi: tk.hi})
-	}, WithWorkers(4))
-	p.Submit(task{lo: 0, hi: leaves})
-	if err := p.Shutdown(context.Background()); err != nil {
-		t.Fatalf("Shutdown: %v", err)
+		st := p.Stats()
+		total := uint64(2*leaves - 1) // full binary tree over the leaf range
+		if st.Executed() != total {
+			t.Fatalf("workers=%d: executed %d, want %d (local=%d inject=%d steals=%d)",
+				workers, st.Executed(), total, st.LocalHits, st.InjectHits, st.Steals)
+		}
+		if st.Submitted+st.Spawned != total {
+			t.Fatalf("workers=%d: accepted %d, want %d", workers, st.Submitted+st.Spawned, total)
+		}
+		if err := st.Gauges(func(string, float64) {}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if workers == 1 && (st.LocalHits != st.Spawned || st.Steals != 0 || st.InjectHits != st.Submitted) {
+			t.Fatalf("one worker: local=%d spawned=%d steals=%d inject=%d submitted=%d, want local == spawned, no steals, inject == submitted",
+				st.LocalHits, st.Spawned, st.Steals, st.InjectHits, st.Submitted)
+		}
 	}
-	st := p.Stats()
-	total := uint64(2*leaves - 1) // full binary tree over the leaf range
-	if st.Executed() != total {
-		t.Fatalf("executed %d, want %d (local=%d inject=%d steals=%d)",
-			st.Executed(), total, st.LocalHits, st.InjectHits, st.Steals)
-	}
-	if st.Submitted+st.Spawned != total {
-		t.Fatalf("accepted %d, want %d", st.Submitted+st.Spawned, total)
+	// A hand-built snapshot that ran more tasks than were accepted.
+	if err := (Stats{Submitted: 1, Spawned: 1, LocalHits: 2, Steals: 1}).Gauges(func(string, float64) {}); err == nil {
+		t.Error("Gauges accepted executed > submitted + spawned")
 	}
 }
 

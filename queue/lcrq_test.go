@@ -187,10 +187,10 @@ func drainReclaim(t *testing.T, p *reclaim.Pool, dom reclaim.Domain) {
 	t.Fatalf("domain did not drain: %d objects still pending at quiescence", dom.Pending())
 }
 
-// TestLCRQStatsConservation checks the S18 gauge identity the CI smoke
-// validation asserts — allocated == recycled + live + retired-pending —
-// and that pending garbage drains to 0 at quiescence (no leaked
-// segments).
+// TestLCRQStatsConservation checks the conservation law SegStats declares
+// — allocated == recycled + live + retired-pending — on real runs and
+// against hand-built snapshots that break it, and that pending garbage
+// drains to 0 at quiescence (no leaked segments).
 func TestLCRQStatsConservation(t *testing.T) {
 	for name, mkOpts := range reclaimVariants() {
 		t.Run(name, func(t *testing.T) {
@@ -216,8 +216,8 @@ func TestLCRQStatsConservation(t *testing.T) {
 			}
 			drainReclaim(t, q.mem, dom)
 			s := q.Stats()
-			if s.SegsAllocated != s.SegsRecycled+s.SegsLive+s.SegsRetiredPending {
-				t.Fatalf("segment conservation broken: %+v", s)
+			if err := s.Gauges(func(string, float64) {}); err != nil {
+				t.Fatal(err)
 			}
 			if s.SegsRetiredPending != 0 {
 				t.Fatalf("SegsRetiredPending = %d at quiescence, want 0", s.SegsRetiredPending)
@@ -229,6 +229,14 @@ func TestLCRQStatsConservation(t *testing.T) {
 				t.Fatalf("negative op gauges: %+v", s)
 			}
 		})
+	}
+	for _, bad := range []SegStats{
+		{SegsAllocated: 3, SegsRecycled: 2, SegsLive: 1, SegsRetiredPending: 1},
+		{SegsAllocated: 3, SegsLive: 1},
+	} {
+		if err := bad.Gauges(func(string, float64) {}); err == nil {
+			t.Errorf("Gauges accepted %+v", bad)
+		}
 	}
 }
 

@@ -63,6 +63,15 @@ type MPMCStats struct {
 	Backoffs     int64
 }
 
+// Gauges emits the snapshot under its report gauge keys. MPMCStats
+// declares no law, so it always returns nil.
+func (s MPMCStats) Gauges(emit func(name string, v float64)) error {
+	emit("enq_cas_misses", float64(s.EnqCASMisses))
+	emit("deq_cas_misses", float64(s.DeqCASMisses))
+	emit("backoffs", float64(s.Backoffs))
+	return nil
+}
+
 // Stats snapshots the contention counters. Counters are monotone.
 func (q *MPMC[T]) Stats() MPMCStats {
 	return MPMCStats{

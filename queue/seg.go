@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"fmt"
 	"sync/atomic"
 
 	"github.com/cds-suite/cds/contend"
@@ -128,7 +129,8 @@ type segCounters struct {
 }
 
 // SegStats is a snapshot of a segmented queue's structural counters, the
-// S18 gauges. Conservation holds by construction at quiescence:
+// S18 gauges. Conservation holds by construction at quiescence, and
+// Gauges checks it:
 //
 //	SegsAllocated == SegsRecycled + SegsLive + SegsRetiredPending
 //
@@ -161,6 +163,24 @@ type SegStats struct {
 	// DeqAbandoned counts dequeue claims resolved by abandoning an
 	// unpublished slot (the dequeuer retried with a fresh claim).
 	DeqAbandoned int64
+}
+
+// Gauges emits the snapshot under its report gauge keys and returns an
+// error when the conservation law of SegStats is broken.
+func (s SegStats) Gauges(emit func(name string, v float64)) error {
+	emit("segs_allocated", float64(s.SegsAllocated))
+	emit("segs_recycled", float64(s.SegsRecycled))
+	emit("segs_reused", float64(s.SegsReused))
+	emit("segs_closed", float64(s.SegsClosed))
+	emit("segs_live", float64(s.SegsLive))
+	emit("segs_retired_pending", float64(s.SegsRetiredPending))
+	emit("enq_slowpath", float64(s.EnqSlowpath))
+	emit("deq_abandoned", float64(s.DeqAbandoned))
+	if s.SegsAllocated != s.SegsRecycled+s.SegsLive+s.SegsRetiredPending {
+		return fmt.Errorf("queue.SegStats: law segs_allocated == segs_recycled + segs_live + segs_retired_pending broken (%d != %d + %d + %d)",
+			s.SegsAllocated, s.SegsRecycled, s.SegsLive, s.SegsRetiredPending)
+	}
+	return nil
 }
 
 // segCore is the state and protocol shared by LCRQ and MPSC: the head and

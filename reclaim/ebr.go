@@ -41,6 +41,8 @@ func (e *EBR) Pending() int64   { return e.c.Pending() }
 func (e *EBR) Deferred() bool   { return true }
 func (e *EBR) Name() string     { return "ebr" }
 
+func (e *EBR) Gauges(emit func(string, float64)) error { return gauges(e, emit) }
+
 type ebrGuard struct {
 	c *epoch.Collector
 	p *epoch.Participant

@@ -41,6 +41,8 @@ func (h *HP) Pending() int64   { return h.d.Pending() }
 func (h *HP) Deferred() bool   { return true }
 func (h *HP) Name() string     { return "hp" }
 
+func (h *HP) Gauges(emit func(string, float64)) error { return gauges(h, emit) }
+
 type hpGuard struct {
 	h     *hazard.Handle
 	slots int

@@ -1,5 +1,7 @@
 package reclaim
 
+import "fmt"
+
 // A Domain owns reclamation state for one data structure (or a family
 // sharing it): the set of guards, the retired-object lists, and the
 // reclaimed/pending gauges the benchmark reports surface.
@@ -24,6 +26,26 @@ type Domain interface {
 	Deferred() bool
 	// Name labels the scheme in benchmark reports: "gc", "ebr", or "hp".
 	Name() string
+	// Gauges emits Pending and Reclaimed under the report gauge keys
+	// pending_garbage and reclaimed, and returns an error when the
+	// domain's law is broken:
+	//
+	//	Pending() >= 0
+	//
+	// The law holds at every instant, not only at quiescence: a
+	// retirement is counted pending before its free callback can run.
+	Gauges(emit func(name string, v float64)) error
+}
+
+// gauges implements Domain.Gauges for every domain.
+func gauges(d Domain, emit func(name string, v float64)) error {
+	pending := d.Pending()
+	emit("pending_garbage", float64(pending))
+	emit("reclaimed", float64(d.Reclaimed()))
+	if pending < 0 {
+		return fmt.Errorf("reclaim: %s domain: law pending_garbage >= 0 broken (%d)", d.Name(), pending)
+	}
+	return nil
 }
 
 // A Guard is one goroutine's session with a Domain. Its methods are
@@ -69,6 +91,8 @@ func (gcDomain) Reclaimed() int64   { return 0 }
 func (gcDomain) Pending() int64     { return 0 }
 func (gcDomain) Deferred() bool     { return false }
 func (gcDomain) Name() string       { return "gc" }
+
+func (d gcDomain) Gauges(emit func(string, float64)) error { return gauges(d, emit) }
 
 type gcGuard struct{}
 

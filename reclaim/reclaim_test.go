@@ -30,13 +30,28 @@ func TestGCDomainIsInert(t *testing.T) {
 	if called {
 		t.Fatal("GC guard ran a free callback")
 	}
-	if d.Reclaimed() != 0 || d.Pending() != 0 {
-		t.Fatalf("GC gauges = (%d, %d), want (0, 0)", d.Reclaimed(), d.Pending())
+	got := map[string]float64{}
+	if err := d.Gauges(func(k string, v float64) { got[k] = v }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got["pending_garbage"] != 0 || got["reclaimed"] != 0 {
+		t.Fatalf("GC gauges = %v, want pending_garbage and reclaimed at 0", got)
 	}
 	if p.Get() != g {
 		t.Fatal("GC pool did not return the shared guard")
 	}
+	// A hand-built domain whose pending gauge broke the law.
+	if err := (negativePending{}).Gauges(func(string, float64) {}); err == nil {
+		t.Fatal("Gauges accepted pending_garbage < 0")
+	}
 }
+
+// negativePending is a domain whose Pending breaks the Domain law.
+type negativePending struct{ gcDomain }
+
+func (negativePending) Pending() int64 { return -1 }
+
+func (d negativePending) Gauges(emit func(string, float64)) error { return gauges(d, emit) }
 
 func TestEBRRetireWaitsForSectionExit(t *testing.T) {
 	d := NewEBR()
