@@ -15,7 +15,6 @@ import (
 	"github.com/cds-suite/cds/counter"
 	"github.com/cds-suite/cds/internal/xrand"
 	"github.com/cds-suite/cds/queue"
-	"github.com/cds-suite/cds/reclaim"
 	"github.com/cds-suite/cds/stack"
 )
 
@@ -452,14 +451,10 @@ func f12() []Scenario {
 }
 
 func f12Stack(v reclaimVariant, cfg Config, th int) Result {
-	dom := reclaim.NewGC() // the structure's default when no option is given
-	var opts []stack.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, stack.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, stack.WithRecycling())
-		}
+	dom := v.dom()
+	opts := []stack.Option{stack.WithReclaim(dom)}
+	if v.recycle {
+		opts = append(opts, stack.WithRecycling())
 	}
 	st := stack.NewTreiber[int](opts...)
 	prefill(256, st.Push)
@@ -478,14 +473,10 @@ func f12Stack(v reclaimVariant, cfg Config, th int) Result {
 }
 
 func f12Queue(v reclaimVariant, cfg Config, th int) Result {
-	dom := reclaim.NewGC() // the structure's default when no option is given
-	var opts []queue.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, queue.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, queue.WithRecycling())
-		}
+	dom := v.dom()
+	opts := []queue.Option{queue.WithReclaim(dom)}
+	if v.recycle {
+		opts = append(opts, queue.WithRecycling())
 	}
 	q := queue.NewMS[int](opts...)
 	prefill(256, q.Enqueue)

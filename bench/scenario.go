@@ -16,8 +16,6 @@ import (
 	"github.com/cds-suite/cds/deque"
 	"github.com/cds-suite/cds/dual"
 	"github.com/cds-suite/cds/fc"
-	"github.com/cds-suite/cds/internal/epoch"
-	"github.com/cds-suite/cds/internal/hazard"
 	"github.com/cds-suite/cds/internal/xrand"
 	"github.com/cds-suite/cds/list"
 	"github.com/cds-suite/cds/locks"
@@ -796,48 +794,35 @@ func barrierScenarios() []Scenario {
 
 func reclaimScenarios() []Scenario {
 	type node struct{ v int }
+	// cell reads the shared pointer inside a guard section (publishing it
+	// under HP) or swaps it and retires the old one.
+	cell := func(dom func() reclaim.Domain, readPct int) func(Config, int) Result {
+		return func(cfg Config, th int) Result {
+			d := dom()
+			var shared atomic.Pointer[node]
+			shared.Store(&node{})
+			ops := cfg.ops(100000)
+			return RunLatency(th, ops/th+1, func(w int) func(int) {
+				g := d.NewGuard(1)
+				mix := NewMixGen(uint64(w)*61+31, readPct, 100-readPct)
+				return func(int) {
+					if mix.Next() == 0 {
+						g.Enter()
+						_ = reclaim.Load(g, 0, &shared)
+						g.Exit()
+					} else {
+						old := shared.Swap(&node{})
+						g.Retire(old, func() { _ = old })
+					}
+				}
+			})
+		}
+	}
 	mkScenario := func(name string, readPct int) Scenario {
-		s := Scenario{Family: "reclaim", Name: name}
-		s.Algos = append(s.Algos, ScenarioAlgo{Label: "EBR", Run: func(cfg Config, th int) Result {
-			c := epoch.NewCollector()
-			var shared atomic.Pointer[node]
-			shared.Store(&node{})
-			ops := cfg.ops(100000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				p := c.Register()
-				mix := NewMixGen(uint64(w)*61+31, readPct, 100-readPct)
-				return func(int) {
-					if mix.Next() == 0 {
-						p.Pin()
-						_ = shared.Load()
-						p.Unpin()
-					} else {
-						old := shared.Swap(&node{})
-						p.Retire(func() { _ = old })
-					}
-				}
-			})
-		}})
-		s.Algos = append(s.Algos, ScenarioAlgo{Label: "HazardPtr", Run: func(cfg Config, th int) Result {
-			d := hazard.NewDomain()
-			var shared atomic.Pointer[node]
-			shared.Store(&node{})
-			ops := cfg.ops(100000)
-			return RunLatency(th, ops/th+1, func(w int) func(int) {
-				h := d.NewHandle(1)
-				mix := NewMixGen(uint64(w)*61+31, readPct, 100-readPct)
-				return func(int) {
-					if mix.Next() == 0 {
-						hazard.Protect(h.Slot(0), &shared)
-						h.Slot(0).Clear()
-					} else {
-						old := shared.Swap(&node{})
-						h.Retire(old, func() { _ = old })
-					}
-				}
-			})
-		}})
-		return s
+		return Scenario{Family: "reclaim", Name: name, Algos: []ScenarioAlgo{
+			{Label: "EBR", Run: cell(func() reclaim.Domain { return reclaim.NewEBR() }, readPct)},
+			{Label: "HazardPtr", Run: cell(func() reclaim.Domain { return reclaim.NewHP() }, readPct)},
+		}}
 	}
 	return []Scenario{
 		mkScenario("read-mostly-90/10", 90),
@@ -929,8 +914,8 @@ func contendScenarios() []Scenario {
 }
 
 // reclaimVariant is one scheme of the sweep F12 and the reclaim-structs
-// scenarios measure on every lock-free structure. A nil dom means the
-// structure's default GC path.
+// scenarios measure on every lock-free structure, passed through each
+// structure's WithReclaim option.
 type reclaimVariant struct {
 	dom     func() reclaim.Domain
 	recycle bool
@@ -940,7 +925,7 @@ type reclaimVariant struct {
 // real HP, and EBR with node recycling ("Recycled").
 func reclaimVariants() []impl[reclaimVariant] {
 	return []impl[reclaimVariant]{
-		{"GC", reclaimVariant{}},
+		{"GC", reclaimVariant{dom: reclaim.NewGC}},
 		{"EBR", reclaimVariant{dom: func() reclaim.Domain { return reclaim.NewEBR() }}},
 		{"HP", reclaimVariant{dom: func() reclaim.Domain { return reclaim.NewHP() }}},
 		{"Recycled", reclaimVariant{dom: func() reclaim.Domain { return reclaim.NewEBR() }, recycle: true}},
@@ -952,14 +937,10 @@ func reclaimVariants() []impl[reclaimVariant] {
 // exactly this cell (different key ranges and op budgets), so a change to
 // the workload cannot diverge the two reports.
 func reclaimListChurn(v reclaimVariant, th, ops, keyRange int) Result {
-	dom := reclaim.NewGC() // the structure's default when no option is given
-	var opts []list.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, list.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, list.WithRecycling())
-		}
+	dom := v.dom()
+	opts := []list.Option{list.WithReclaim(dom)}
+	if v.recycle {
+		opts = append(opts, list.WithRecycling())
 	}
 	s := list.NewHarris[int](opts...)
 	prefillSet(s, keyRange, 99)
@@ -985,14 +966,10 @@ func reclaimListChurn(v reclaimVariant, th, ops, keyRange int) Result {
 // reclaimMapChurn is the split-ordered counterpart of reclaimListChurn
 // (40/40/20 store/delete/load), likewise shared by F12 and S14.
 func reclaimMapChurn(v reclaimVariant, th, ops, keyRange int) Result {
-	dom := reclaim.NewGC() // the structure's default when no option is given
-	var opts []cmap.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, cmap.WithReclaim(dom))
-		if v.recycle {
-			opts = append(opts, cmap.WithRecycling())
-		}
+	dom := v.dom()
+	opts := []cmap.Option{cmap.WithReclaim(dom)}
+	if v.recycle {
+		opts = append(opts, cmap.WithRecycling())
 	}
 	m := cmap.NewSplitOrdered[int, int](opts...)
 	prefillMap(m, keyRange)
@@ -1018,13 +995,8 @@ func reclaimMapChurn(v reclaimVariant, th, ops, keyRange int) Result {
 // lockFreeSkiplist builds the lock-free skip list under a variant (the
 // skip list has no recycling mode), prefilled with keyRange/2 keys.
 func lockFreeSkiplist(v reclaimVariant, keyRange int) (*skiplist.LockFree[int], reclaim.Domain) {
-	dom := reclaim.NewGC() // the structure's default when no option is given
-	var opts []skiplist.Option
-	if v.dom != nil {
-		dom = v.dom()
-		opts = append(opts, skiplist.WithReclaim(dom))
-	}
-	s := skiplist.NewLockFree[int](opts...)
+	dom := v.dom()
+	s := skiplist.NewLockFree[int](skiplist.WithReclaim(dom))
 	prefillSet(s, keyRange, 3)
 	return s, dom
 }
@@ -1056,24 +1028,19 @@ func reclaimStructScenarios() []Scenario {
 	stallSc := Scenario{Family: "reclaim-structs", Name: "skiplist-stalled-reader-churn",
 		Algos: cells(withPrefix("LockFree/", pick(reclaimVariants(), "GC", "EBR", "HP")), func(v reclaimVariant, cfg Config, th int) Result {
 			s, dom := lockFreeSkiplist(v, keyRange)
-			var stall reclaim.Guard
-			if v.dom != nil {
-				stall = dom.NewGuard(1)
-			}
+			stall := dom.NewGuard(1)
 			res := RunLatency(th, cfg.ops(60000)/th+1, func(w int) func(int) {
 				if w == 0 {
 					// The stalled reader: reads inside a section it only
 					// leaves every stallBatch operations.
 					rng := xrand.New(uint64(w) + 51)
 					count := 0
-					if stall != nil {
-						stall.Enter()
-					}
+					stall.Enter()
 					//cdsvet:ignore guardexit stalled-reader scenario: the guard deliberately stays entered across the factory return to pin reclamation
 					return func(int) {
 						s.Contains(rng.Intn(keyRange))
 						count++
-						if stall != nil && count%stallBatch == 0 {
+						if count%stallBatch == 0 {
 							stall.Exit()
 							stall.Enter()
 						}
@@ -1093,10 +1060,8 @@ func reclaimStructScenarios() []Scenario {
 			// Snapshot the gauges while the stall is still pinned: the
 			// whole point is the garbage a stalled reader strands.
 			res.gauge(dom)
-			if stall != nil {
-				stall.Exit()
-				stall.Release()
-			}
+			stall.Exit()
+			stall.Release()
 			return res
 		})}
 

@@ -318,7 +318,7 @@ func TestPoolScenarioShape(t *testing.T) {
 				t.Errorf("%s/WorkStealing: record missing gauges", s.Name)
 				continue
 			}
-			for _, key := range []string{"steals", "local_hits", "inject_hits", "parks", "executed"} {
+			for _, key := range []string{"steals", "local_hits", "inject_hits", "parks", "executed", "submitted", "spawned"} {
 				if _, ok := r.Gauges[key]; !ok {
 					t.Errorf("%s/WorkStealing: gauge %q missing", s.Name, key)
 				}

@@ -88,21 +88,19 @@ func NewSplitOrdered[K comparable, V any](opts ...Option) *SplitOrdered[K, V] {
 	m.segments[0].Store(seg0)
 
 	o := buildOptions(opts)
-	if o.dom != nil {
-		m.mem = reclaim.NewPool(o.dom, 2)
-		if o.recycle {
-			g := m.mem.Get()
-			if !g.Protects() { // Range cannot hold hazards: EBR only
-				m.nodes = reclaim.NewRecycler(func(n *soNode[K, V]) {
-					var zeroK K
-					n.soKey = 0
-					n.key = zeroK
-					n.val.Store(nil)
-					n.ref.Store(nil)
-				})
-			}
-			m.mem.Put(g)
+	m.mem = reclaim.NewPool(o.dom, 2)
+	if m.mem != nil && o.recycle {
+		g := m.mem.Get()
+		if !g.Protects() { // Range cannot hold hazards: EBR only
+			m.nodes = reclaim.NewRecycler(func(n *soNode[K, V]) {
+				var zeroK K
+				n.soKey = 0
+				n.key = zeroK
+				n.val.Store(nil)
+				n.ref.Store(nil)
+			})
 		}
+		m.mem.Put(g)
 	}
 	return m
 }

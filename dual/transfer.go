@@ -136,10 +136,7 @@ type xfer[T any] struct {
 }
 
 func newXfer[T any](dom reclaim.Domain) *xfer[T] {
-	q := &xfer[T]{cancelled: new(xitem[T]), taken: new(xitem[T])}
-	if dom != nil && dom.Deferred() {
-		q.mem = reclaim.NewPool(dom, 2)
-	}
+	q := &xfer[T]{cancelled: new(xitem[T]), taken: new(xitem[T]), mem: reclaim.NewPool(dom, 2)}
 	dummy := &node[T]{}
 	q.head.Store(dummy)
 	q.tail.Store(dummy)

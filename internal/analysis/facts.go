@@ -157,16 +157,12 @@ type blockFacts struct {
 	guardType *types.Interface // reclaim.Guard, nil if reclaim not loaded
 }
 
-// reclaimLayer lists the packages whose internals are exempt from the
-// blocking rule: the reclamation layer takes short internal locks while
-// retiring (that is its job) and never parks, so calls into it do not
-// count as blocking even while a guard is live.
+// reclaimLayer reports whether pkgPath is the reclamation layer, whose
+// internals are exempt from the blocking rule: it takes short internal
+// locks while retiring (that is its job) and never parks, so calls into
+// it do not count as blocking even while a guard is live.
 func (prog *Program) reclaimLayer(pkgPath string) bool {
-	switch strings.TrimPrefix(pkgPath, prog.ModulePath+"/") {
-	case "reclaim", "internal/epoch", "internal/hazard":
-		return true
-	}
-	return false
+	return strings.TrimPrefix(pkgPath, prog.ModulePath+"/") == "reclaim"
 }
 
 func (prog *Program) blocks() *blockFacts {

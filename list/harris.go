@@ -64,15 +64,13 @@ func NewHarris[K cmp.Ordered](opts ...Option) *Harris[K] {
 	h.ref.Store(&harrisRef[K]{})
 	s := &Harris[K]{head: h}
 	o := buildOptions(opts)
-	if o.dom != nil {
-		s.mem = reclaim.NewPool(o.dom, 2)
-		if o.recycle {
-			s.nodes = reclaim.NewRecycler(func(n *harrisNode[K]) {
-				var zero K
-				n.key = zero
-				n.ref.Store(nil)
-			})
-		}
+	s.mem = reclaim.NewPool(o.dom, 2)
+	if s.mem != nil && o.recycle {
+		s.nodes = reclaim.NewRecycler(func(n *harrisNode[K]) {
+			var zero K
+			n.key = zero
+			n.ref.Store(nil)
+		})
 	}
 	return s
 }

@@ -403,6 +403,8 @@ func (s Stats) Gauges(emit func(name string, v float64)) error {
 	emit("inject_hits", float64(s.InjectHits))
 	emit("parks", float64(s.Parks))
 	emit("executed", float64(s.Executed()))
+	emit("submitted", float64(s.Submitted))
+	emit("spawned", float64(s.Spawned))
 	if s.Executed() > s.Submitted+s.Spawned {
 		return fmt.Errorf("pool.Stats: law executed <= submitted + spawned broken (%d > %d + %d)",
 			s.Executed(), s.Submitted, s.Spawned)

@@ -177,9 +177,9 @@ func drainReclaim(t *testing.T, p *reclaim.Pool, dom reclaim.Domain) {
 		}
 		switch d := dom.(type) {
 		case *reclaim.EBR:
-			d.Collector().TryAdvance() // ages orphan bags out, then frees them
+			d.TryAdvance() // ages orphan bags out, then frees them
 		case *reclaim.HP:
-			d.HazardDomain().Drain() // scans the ownerless retire list
+			d.Drain() // scans the ownerless retire list
 		default:
 			t.Fatalf("no drain hook for domain %q", dom.Name())
 		}

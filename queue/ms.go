@@ -55,11 +55,8 @@ func NewMS[T any](opts ...Option) *MS[T] {
 }
 
 func (q *MS[T]) initReclaim(o options) {
-	if o.dom == nil {
-		return
-	}
 	q.mem = reclaim.NewPool(o.dom, 2)
-	if o.recycle {
+	if q.mem != nil && o.recycle {
 		q.nodes = reclaim.NewRecycler(func(n *msNode[T]) {
 			var zero T
 			n.value = zero

@@ -206,11 +206,9 @@ func (q *segCore[T]) init(o options) {
 		n = defaultSegSize
 	}
 	q.size = uint64(pow2.RoundUp(n, minSegSize))
-	if o.dom != nil {
-		q.mem = reclaim.NewPool(o.dom, 1)
-		if o.recycle {
-			q.segs = reclaim.NewRecycler(resetSegment[T])
-		}
+	q.mem = reclaim.NewPool(o.dom, 1)
+	if q.mem != nil && o.recycle {
+		q.segs = reclaim.NewRecycler(resetSegment[T])
 	}
 	seed := q.newSegment()
 	q.stats.alloc.Add(1)

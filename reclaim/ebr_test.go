@@ -1,4 +1,4 @@
-package epoch
+package reclaim
 
 import (
 	"runtime"
@@ -8,13 +8,13 @@ import (
 )
 
 func TestSequentialRetireAndCollect(t *testing.T) {
-	c := NewCollector()
-	p := c.Register()
-	defer c.Unregister(p)
+	c := NewEBR()
+	p := register(c)
+	defer p.Release()
 
 	freed := 0
 	for i := 0; i < 10; i++ {
-		p.Retire(func() { freed++ })
+		p.Retire(nil, func() { freed++ })
 	}
 	if got := c.Pending(); got != 10 {
 		t.Fatalf("Pending = %d, want 10", got)
@@ -25,7 +25,7 @@ func TestSequentialRetireAndCollect(t *testing.T) {
 			t.Fatalf("advance %d failed with no pinned participants", i)
 		}
 	}
-	p.Collect()
+	p.collect()
 	if freed != 10 {
 		t.Fatalf("freed = %d, want 10", freed)
 	}
@@ -38,12 +38,12 @@ func TestSequentialRetireAndCollect(t *testing.T) {
 }
 
 func TestPinBlocksAdvance(t *testing.T) {
-	c := NewCollector()
-	p := c.Register()
-	defer c.Unregister(p)
+	c := NewEBR()
+	p := register(c)
+	defer p.Release()
 
-	p.Pin()
-	e := c.Epoch()
+	p.Enter()
+	e := c.global.Load()
 	if !c.TryAdvance() {
 		t.Fatal("first advance should succeed: pinned participant has seen the current epoch")
 	}
@@ -51,7 +51,7 @@ func TestPinBlocksAdvance(t *testing.T) {
 	if c.TryAdvance() {
 		t.Fatalf("advance to %d succeeded while a participant is pinned at %d", e+2, e)
 	}
-	p.Unpin()
+	p.Exit()
 	if !c.TryAdvance() {
 		t.Fatal("advance after Unpin failed")
 	}
@@ -61,49 +61,49 @@ func TestRetiredNotFreedWhilePinnedReaderCanHoldIt(t *testing.T) {
 	// The core safety invariant, tested mechanically: a reader pins and
 	// "acquires" an object; a writer retires it; the object must not be
 	// freed until after the reader unpins.
-	c := NewCollector()
-	reader := c.Register()
-	writer := c.Register()
-	defer c.Unregister(reader)
-	defer c.Unregister(writer)
+	c := NewEBR()
+	reader := register(c)
+	writer := register(c)
+	defer reader.Release()
+	defer writer.Release()
 
 	var freed atomic.Bool
-	reader.Pin()
+	reader.Enter()
 	// Reader holds a conceptual reference from inside its section.
-	writer.Retire(func() { freed.Store(true) })
+	writer.Retire(nil, func() { freed.Store(true) })
 
 	// Writer tries hard to reclaim; the pinned reader must prevent it.
 	for i := 0; i < 10; i++ {
 		c.TryAdvance()
-		writer.Collect()
+		writer.collect()
 	}
 	if freed.Load() {
 		t.Fatal("object freed while a reader pinned at retire epoch was active")
 	}
-	reader.Unpin()
+	reader.Exit()
 	for i := 0; i < 3; i++ {
 		c.TryAdvance()
 	}
-	writer.Collect()
+	writer.collect()
 	if !freed.Load() {
 		t.Fatal("object never freed after reader unpinned")
 	}
 }
 
 func TestNestedPins(t *testing.T) {
-	c := NewCollector()
-	p := c.Register()
-	defer c.Unregister(p)
+	c := NewEBR()
+	p := register(c)
+	defer p.Release()
 
-	p.Pin()
-	p.Pin()
-	p.Unpin()
+	p.Enter()
+	p.Enter()
+	p.Exit()
 	// Still pinned: epoch must not advance twice.
 	c.TryAdvance()
 	if c.TryAdvance() {
 		t.Fatal("epoch advanced twice under a nested pin")
 	}
-	p.Unpin()
+	p.Exit()
 	if !c.TryAdvance() {
 		t.Fatal("advance failed after full unpin")
 	}
@@ -112,30 +112,30 @@ func TestNestedPins(t *testing.T) {
 func TestUnpinWithoutPinPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Unpin without Pin did not panic")
+			t.Fatal("Exit without Enter did not panic")
 		}
 	}()
-	c := NewCollector()
-	p := c.Register()
-	p.Unpin()
+	c := NewEBR()
+	p := register(c)
+	p.Exit()
 }
 
 func TestUnregisterInheritsBags(t *testing.T) {
-	c := NewCollector()
-	p := c.Register()
-	blocker := c.Register()
-	defer c.Unregister(blocker)
+	c := NewEBR()
+	p := register(c)
+	blocker := register(c)
+	defer blocker.Release()
 
 	var freed atomic.Int64
-	blocker.Pin()
+	blocker.Enter()
 	for i := 0; i < 5; i++ {
-		p.Retire(func() { freed.Add(1) })
+		p.Retire(nil, func() { freed.Add(1) })
 	}
-	c.Unregister(p) // bags become orphans; blocker still pinned
+	p.Release() // bags become orphans; blocker still pinned
 	if freed.Load() != 0 {
 		t.Fatal("orphan bags freed while blocker pinned at retire epoch")
 	}
-	blocker.Unpin()
+	blocker.Exit()
 	for i := 0; i < 3; i++ {
 		c.TryAdvance()
 	}
@@ -147,24 +147,24 @@ func TestUnregisterInheritsBags(t *testing.T) {
 func TestUnregisterPinnedPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Unregister of pinned participant did not panic")
+			t.Fatal("Release of pinned participant did not panic")
 		}
 	}()
-	c := NewCollector()
-	p := c.Register()
-	p.Pin()
-	c.Unregister(p)
+	c := NewEBR()
+	p := register(c)
+	p.Enter()
+	p.Release()
 }
 
 // TestLostAdvanceStillDrainsOrphans pins down the orphan-drain liveness
 // rule: a TryAdvance whose CAS loses to a concurrent advance must still
 // drain aged-out orphan bags, because the winner may have drained *before*
-// those orphans were parked (an Unregister landing in between). The old
+// those orphans were parked (a Release landing in between). The old
 // code drained only on CAS success, so the bag lingered until the next
 // successful advance — arbitrarily far away once callers go quiescent.
 func TestLostAdvanceStillDrainsOrphans(t *testing.T) {
-	c := NewCollector()
-	for c.Epoch() < 5 {
+	c := NewEBR()
+	for c.global.Load() < 5 {
 		if !c.TryAdvance() {
 			t.Fatal("setup advance failed with no participants")
 		}
@@ -182,7 +182,7 @@ func TestLostAdvanceStillDrainsOrphans(t *testing.T) {
 			t.Fatal("hook: concurrent advance failed")
 		}
 		c.drainOrphans()
-		// ...then an Unregister lands: a bag retired at epoch 4 is parked
+		// ...then a Release lands: a bag retired at epoch 4 is parked
 		// as an orphan — already aged out (4+2 <= 6) but missed by the
 		// winner's drain.
 		c.mu.Lock()
@@ -209,7 +209,7 @@ func TestLostAdvanceStillDrainsOrphans(t *testing.T) {
 // interleaving the race detector must see clean — and every orphan is
 // eventually freed while the advancers are still racing.
 func TestOrphanAgingUnderRacingAdvances(t *testing.T) {
-	c := NewCollector()
+	c := NewEBR()
 	var freed atomic.Int64
 	const total = 500
 
@@ -230,9 +230,9 @@ func TestOrphanAgingUnderRacingAdvances(t *testing.T) {
 		}()
 	}
 	for i := 0; i < total; i++ {
-		p := c.Register()
-		p.Retire(func() { freed.Add(1) })
-		c.Unregister(p)
+		p := register(c)
+		p.Retire(nil, func() { freed.Add(1) })
+		p.Release()
 	}
 	// Liveness: with no pinned participants the racers keep advancing, and
 	// every observation of an advance (won or lost) drains aged bags.
@@ -256,7 +256,7 @@ func TestConcurrentReclamationStress(t *testing.T) {
 	type object struct {
 		freed atomic.Bool
 	}
-	c := NewCollector()
+	c := NewEBR()
 
 	// shared holds the currently linked object (like a head pointer).
 	var shared atomic.Pointer[object]
@@ -273,23 +273,23 @@ func TestConcurrentReclamationStress(t *testing.T) {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
-			p := c.Register()
-			defer c.Unregister(p)
+			p := register(c)
+			defer p.Release()
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				p.Pin()
+				p.Enter()
 				obj := shared.Load() // reachable ⇒ not yet reclaimable
 				if obj.freed.Load() {
 					t.Error("reader reached a freed object")
-					p.Unpin()
+					p.Exit()
 					return
 				}
 				observed.Add(1)
-				p.Unpin()
+				p.Exit()
 			}
 		}()
 	}
@@ -297,11 +297,11 @@ func TestConcurrentReclamationStress(t *testing.T) {
 		wwg.Add(1)
 		go func() {
 			defer wwg.Done()
-			p := c.Register()
-			defer c.Unregister(p)
+			p := register(c)
+			defer p.Release()
 			for i := 0; i < 20000; i++ {
 				old := shared.Swap(&object{}) // unlink
-				p.Retire(func() { old.freed.Store(true) })
+				p.Retire(nil, func() { old.freed.Store(true) })
 			}
 		}()
 	}
@@ -319,3 +319,7 @@ func TestConcurrentReclamationStress(t *testing.T) {
 		t.Fatal("readers never ran")
 	}
 }
+
+// register issues a participant of e, typed for the tests that drive its
+// unexported collect.
+func register(e *EBR) *participant { return e.NewGuard(0).(*participant) }

@@ -1,4 +1,4 @@
-package hazard
+package reclaim
 
 import (
 	"runtime"
@@ -9,9 +9,9 @@ import (
 )
 
 func TestRetireFreesUnprotected(t *testing.T) {
-	d := NewDomain()
+	d := NewHP()
 	d.SetScanThreshold(4)
-	h := d.NewHandle(1)
+	h := newHandle(d, 1)
 	defer h.Release()
 
 	freed := 0
@@ -19,7 +19,7 @@ func TestRetireFreesUnprotected(t *testing.T) {
 		p := &struct{ x int }{x: i}
 		h.Retire(p, func() { freed++ })
 	}
-	h.Scan()
+	h.scan()
 	if freed != 8 {
 		t.Fatalf("freed = %d, want 8", freed)
 	}
@@ -29,9 +29,9 @@ func TestRetireFreesUnprotected(t *testing.T) {
 }
 
 func TestProtectedObjectSurvivesScan(t *testing.T) {
-	d := NewDomain()
-	reader := d.NewHandle(1)
-	writer := d.NewHandle(1)
+	d := NewHP()
+	reader := newHandle(d, 1)
+	writer := newHandle(d, 1)
 	defer reader.Release()
 	defer writer.Release()
 
@@ -41,9 +41,9 @@ func TestProtectedObjectSurvivesScan(t *testing.T) {
 	shared.Store(obj)
 
 	// Reader protects the object.
-	got := Protect(reader.Slot(0), &shared)
+	got := Load(reader, 0, &shared)
 	if got != obj {
-		t.Fatalf("Protect returned %p, want %p", got, obj)
+		t.Fatalf("Load returned %p, want %p", got, obj)
 	}
 
 	// Writer unlinks and retires it; scans must not free it.
@@ -51,26 +51,26 @@ func TestProtectedObjectSurvivesScan(t *testing.T) {
 	var freed atomic.Bool
 	writer.Retire(obj, func() { freed.Store(true) })
 	for i := 0; i < 5; i++ {
-		writer.Scan()
+		writer.scan()
 	}
 	if freed.Load() {
 		t.Fatal("protected object was freed")
 	}
 
 	// Clearing the hazard releases it.
-	reader.Slot(0).Clear()
-	writer.Scan()
+	reader.Exit()
+	writer.scan()
 	if !freed.Load() {
 		t.Fatal("unprotected object not freed by scan")
 	}
 }
 
 func TestProtectRevalidates(t *testing.T) {
-	// If the source changes mid-protection, Protect must converge on a
+	// If the source changes mid-protection, Load must converge on a
 	// value that was re-validated, never returning a stale unpublished one.
 	type node struct{ v int }
-	d := NewDomain()
-	h := d.NewHandle(1)
+	d := NewHP()
+	h := newHandle(d, 1)
 	defer h.Release()
 
 	var shared atomic.Pointer[node]
@@ -91,12 +91,12 @@ func TestProtectRevalidates(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10000; i++ {
-		p := Protect(h.Slot(0), &shared)
+		p := Load(h, 0, &shared)
 		if p == nil {
 			t.Fatal("nil from non-nil source")
 		}
-		if hp := h.Slot(0).loadPtr(); hp != (*byte)(unsafe.Pointer(p)) {
-			t.Fatalf("slot holds %p, protect returned %p", hp, p)
+		if hp := h.slots[0].p.Load(); hp != (*byte)(unsafe.Pointer(p)) {
+			t.Fatalf("slot holds %p, Load returned %p", hp, p)
 		}
 	}
 	close(stop)
@@ -105,29 +105,30 @@ func TestProtectRevalidates(t *testing.T) {
 
 func TestProtectNilSource(t *testing.T) {
 	type node struct{ v int }
-	d := NewDomain()
-	h := d.NewHandle(1)
+	d := NewHP()
+	h := newHandle(d, 1)
 	defer h.Release()
+	h.Protect(0, &node{})
 	var shared atomic.Pointer[node]
-	if p := Protect(h.Slot(0), &shared); p != nil {
-		t.Fatalf("Protect of nil source = %v", p)
+	if p := Load(h, 0, &shared); p != nil {
+		t.Fatalf("Load of nil source = %v", p)
 	}
-	if v := h.Slot(0).loadPtr(); v != nil {
+	if v := h.slots[0].p.Load(); v != nil {
 		t.Fatalf("slot not cleared on nil source: %v", v)
 	}
 }
 
 func TestReleaseHandsOffRetired(t *testing.T) {
-	d := NewDomain()
+	d := NewHP()
 	d.SetScanThreshold(1000) // prevent auto-scan
-	blocker := d.NewHandle(1)
-	leaver := d.NewHandle(1)
+	blocker := newHandle(d, 1)
+	leaver := newHandle(d, 1)
 
 	type node struct{ v int }
 	var shared atomic.Pointer[node]
 	obj := &node{}
 	shared.Store(obj)
-	Protect(blocker.Slot(0), &shared)
+	Load(blocker, 0, &shared)
 
 	var freed atomic.Bool
 	leaver.Retire(obj, func() { freed.Store(true) })
@@ -135,8 +136,8 @@ func TestReleaseHandsOffRetired(t *testing.T) {
 	if freed.Load() {
 		t.Fatal("protected object freed during handle release")
 	}
-	blocker.Slot(0).Clear()
-	blocker.Scan()
+	blocker.Exit()
+	blocker.scan()
 	d.Drain()
 	if !freed.Load() {
 		t.Fatal("object never freed after handoff")
@@ -152,18 +153,18 @@ func TestReleaseHandsOffRetired(t *testing.T) {
 // the owner's retired slice.
 func TestReleaseRetireScanRace(t *testing.T) {
 	type node struct{ v int }
-	d := NewDomain()
+	d := NewHP()
 	d.SetScanThreshold(4)
 
-	owner := d.NewHandle(1) // registered first: the old code's handoff target
-	protector := d.NewHandle(1)
+	owner := newHandle(d, 1) // registered first: the old code's handoff target
+	protector := newHandle(d, 1)
 	defer protector.Release()
 
 	// A protected object makes every releasing handle leave leftovers.
 	obj := &node{}
 	var shared atomic.Pointer[node]
 	shared.Store(obj)
-	Protect(protector.Slot(0), &shared)
+	Load(protector, 0, &shared)
 
 	stop := make(chan struct{})
 	var ownerWG, churnWG sync.WaitGroup
@@ -178,14 +179,14 @@ func TestReleaseRetireScanRace(t *testing.T) {
 			}
 			p := &node{}
 			owner.Retire(p, func() {})
-			owner.Scan()
+			owner.scan()
 		}
 	}()
 	churnWG.Add(1)
 	go func() { // churning handles release with protected leftovers
 		defer churnWG.Done()
 		for i := 0; i < 2000; i++ {
-			h := d.NewHandle(1)
+			h := newHandle(d, 1)
 			h.Retire(obj, func() {})
 			h.Release()
 		}
@@ -195,7 +196,7 @@ func TestReleaseRetireScanRace(t *testing.T) {
 	ownerWG.Wait()
 
 	owner.Release()
-	protector.Slot(0).Clear()
+	protector.Exit()
 	d.Drain()
 	if d.Pending() != 0 {
 		t.Fatalf("Pending = %d after full drain, want 0", d.Pending())
@@ -212,7 +213,7 @@ func TestConcurrentStress(t *testing.T) {
 	type node struct {
 		freed atomic.Bool
 	}
-	d := NewDomain()
+	d := NewHP()
 	d.SetScanThreshold(16)
 
 	var shared atomic.Pointer[node]
@@ -227,7 +228,7 @@ func TestConcurrentStress(t *testing.T) {
 		rwg.Add(1)
 		go func() {
 			defer rwg.Done()
-			h := d.NewHandle(1)
+			h := newHandle(d, 1)
 			defer h.Release()
 			for {
 				select {
@@ -235,7 +236,7 @@ func TestConcurrentStress(t *testing.T) {
 					return
 				default:
 				}
-				p := Protect(h.Slot(0), &shared)
+				p := Load(h, 0, &shared)
 				if p == nil {
 					continue
 				}
@@ -243,7 +244,7 @@ func TestConcurrentStress(t *testing.T) {
 					t.Error("reader holds a freed object")
 					return
 				}
-				h.Slot(0).Clear()
+				h.Exit()
 			}
 		}()
 	}
@@ -251,7 +252,7 @@ func TestConcurrentStress(t *testing.T) {
 		wwg.Add(1)
 		go func() {
 			defer wwg.Done()
-			h := d.NewHandle(1)
+			h := newHandle(d, 1)
 			defer h.Release()
 			for i := 0; i < 20000; i++ {
 				old := shared.Swap(&node{})
@@ -270,3 +271,7 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatal("stress run reclaimed nothing — protocol inert")
 	}
 }
+
+// newHandle issues a handle of d with k slots, typed for the tests that
+// drive its scan directly.
+func newHandle(d *HP, k int) *handle { return d.NewGuard(k).(*handle) }

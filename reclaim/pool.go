@@ -26,15 +26,10 @@ import (
 // Slot selection hashes the caller's stack address, which is stable per
 // goroutine, so a worker tends to reacquire the guard (and the warmed
 // hazard slots) it used last.
-//
-// For the GC domain Get returns a shared stateless guard without touching
-// the ring at all, keeping the default path allocation- and
-// contention-free.
 type Pool struct {
-	d      Domain
-	slots  int
-	shared Guard // non-nil only for the stateless GC guard
-	cache  []pslot
+	d     Domain
+	slots int
+	cache []pslot
 }
 
 type pslot struct {
@@ -44,14 +39,14 @@ type pslot struct {
 }
 
 // NewPool returns a guard pool over d; guards are created with the given
-// hazard-slot capacity.
+// hazard-slot capacity. It returns nil when d is nil or does not defer
+// (the GC domain): no guard is needed there, and every structure takes a
+// nil pool as its zero-cost GC path.
 func NewPool(d Domain, slots int) *Pool {
-	p := &Pool{d: d, slots: slots}
-	if !d.Deferred() {
-		// The GC guard carries no state, so one instance serves everyone.
-		p.shared = d.NewGuard(slots)
-		return p
+	if d == nil || !d.Deferred() {
+		return nil
 	}
+	p := &Pool{d: d, slots: slots}
 	n := 4
 	for n < 2*runtime.GOMAXPROCS(0) {
 		n *= 2
@@ -71,9 +66,6 @@ func (p *Pool) home() int {
 
 // Get returns a guard owned exclusively by the caller until Put.
 func (p *Pool) Get() Guard {
-	if p.shared != nil {
-		return p.shared
-	}
 	mask := len(p.cache) - 1
 	for i, idx := 0, p.home(); i < len(p.cache); i++ {
 		s := &p.cache[(idx+i)&mask]
@@ -93,9 +85,6 @@ func (p *Pool) Get() Guard {
 // the ring is full the guard is released instead, keeping the domain's
 // registration count bounded.
 func (p *Pool) Put(g Guard) {
-	if p.shared != nil {
-		return
-	}
 	mask := len(p.cache) - 1
 	for i, idx := 0, p.home(); i < len(p.cache); i++ {
 		s := &p.cache[(idx+i)&mask]
@@ -120,9 +109,6 @@ func (p *Pool) Put(g Guard) {
 // Guards currently checked out are unaffected; the pool remains usable
 // (Get simply registers fresh guards).
 func (p *Pool) Drain() {
-	if p.shared != nil {
-		return
-	}
 	for i := range p.cache {
 		s := &p.cache[i]
 		s.mu.Lock()
@@ -141,8 +127,8 @@ func (p *Pool) Drain() {
 // unreachable, so the structure's next allocation reuses it instead of
 // growing the heap. Reuse is safe exactly because the domain interposes —
 // under the plain GC domain free callbacks never run, so recycling
-// silently degrades to ordinary allocation (constructors gate the option
-// on Domain.Deferred for this reason).
+// silently degrades to ordinary allocation (constructors build a recycler
+// only when NewPool returned a pool, for this reason).
 //
 // A nil *Recycler is valid and allocates normally, which lets structures
 // thread one field through both recycled and non-recycled configurations.

@@ -20,13 +20,15 @@ func TestGCDomainIsInert(t *testing.T) {
 	if d.Name() != "gc" {
 		t.Fatalf("Name = %q", d.Name())
 	}
-	p := NewPool(d, 2)
-	g := p.Get()
+	if NewPool(d, 2) != nil || NewPool(nil, 2) != nil {
+		t.Fatal("NewPool built a guard pool for a non-deferring domain")
+	}
+	g := d.NewGuard(2)
 	g.Enter()
 	called := false
 	g.Retire(&node{}, func() { called = true })
 	g.Exit()
-	p.Put(g)
+	g.Release()
 	if called {
 		t.Fatal("GC guard ran a free callback")
 	}
@@ -36,9 +38,6 @@ func TestGCDomainIsInert(t *testing.T) {
 	}
 	if len(got) != 2 || got["pending_garbage"] != 0 || got["reclaimed"] != 0 {
 		t.Fatalf("GC gauges = %v, want pending_garbage and reclaimed at 0", got)
-	}
-	if p.Get() != g {
-		t.Fatal("GC pool did not return the shared guard")
 	}
 	// A hand-built domain whose pending gauge broke the law.
 	if err := (negativePending{}).Gauges(func(string, float64) {}); err == nil {

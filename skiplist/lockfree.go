@@ -62,9 +62,7 @@ func NewLockFree[K cmp.Ordered](opts ...Option) *LockFree[K] {
 		h.next[i].Store(&lfRef[K]{})
 	}
 	s := &LockFree[K]{head: h, levels: newLevelGen()}
-	if o := buildOptions(opts); o.dom != nil {
-		s.mem = reclaim.NewPool(o.dom, 2)
-	}
+	s.mem = reclaim.NewPool(buildOptions(opts).dom, 2)
 	return s
 }
 

@@ -50,11 +50,8 @@ func NewTreiber[T any](opts ...Option) *Treiber[T] {
 }
 
 func (s *Treiber[T]) initReclaim(o options) {
-	if o.dom == nil {
-		return
-	}
 	s.mem = reclaim.NewPool(o.dom, 1)
-	if o.recycle {
+	if s.mem != nil && o.recycle {
 		s.nodes = reclaim.NewRecycler(func(n *tnode[T]) {
 			var zero T
 			n.value = zero
